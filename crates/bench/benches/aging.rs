@@ -1,5 +1,5 @@
 //! Experiment E13: continuous aging — the incremental scheduler-driven
-//! `SubcubeManager::age` vs. a from-scratch synchronization, at steady
+//! `ShardRouter::age` vs. a from-scratch synchronization, at steady
 //! state.
 //!
 //! Setup per scale (~100k / ~1M facts): load the standard bench
@@ -26,7 +26,7 @@ use std::time::Instant;
 use sdr_bench::{bench_warehouse, mo_digest, BenchWarehouse};
 use sdr_mdm::calendar::days_from_civil;
 use sdr_reduce::ReductionSchedule;
-use sdr_subcube::SubcubeManager;
+use sdr_subcube::ShardRouter;
 
 /// The last day `bench_warehouse(months, _)` generated clicks for —
 /// the steady-state baseline the aged warehouse starts from.
@@ -41,8 +41,8 @@ fn data_end(months: u32) -> i32 {
     days_from_civil(ey, em, 28)
 }
 
-fn loaded_manager(w: &BenchWarehouse) -> SubcubeManager {
-    let m = SubcubeManager::new(w.spec.clone());
+fn loaded_manager(w: &BenchWarehouse) -> ShardRouter {
+    let m = ShardRouter::in_memory(w.spec.clone());
     m.bulk_load(&w.cs.mo).unwrap();
     m
 }
@@ -93,8 +93,8 @@ fn run_scale(label: &str, months: u32, clicks_per_day: usize) -> ScaleResult {
     // Same final answer, or the bench aborts.
     let fresh = last_fresh.unwrap();
     assert_eq!(
-        mo_digest(&aged.to_mo().unwrap()),
-        mo_digest(&fresh.to_mo().unwrap()),
+        mo_digest(&aged.view_set().to_mo().unwrap()),
+        mo_digest(&fresh.view_set().to_mo().unwrap()),
         "incremental aging diverged from from-scratch sync"
     );
     black_box(&aged);

@@ -7,7 +7,7 @@
 //! swap. This bench measures aggregate-query latency against a ~100k-fact
 //! warehouse in two modes:
 //!
-//! * **versioned** — the real `SubcubeManager`: readers grab a snapshot
+//! * **versioned** — the real `ShardRouter`: readers grab a snapshot
 //!   view and query it while a writer thread runs full syncs;
 //! * **locked** — the seed architecture simulated faithfully: the whole
 //!   manager behind a `RwLock`, readers take the read lock per query,
@@ -39,7 +39,7 @@ use sdr_bench::bench_warehouse;
 use sdr_mdm::{time_cat as tc, DayNum};
 use sdr_query::{AggApproach, SelectMode};
 use sdr_spec::parse_pexp;
-use sdr_subcube::{CubeQuery, SubcubeManager};
+use sdr_subcube::{CubeQuery, ShardRouter};
 
 /// The measured query: a predicated quarter × domain-group roll-up — the
 /// Figure 8 shape, touching every cube of the DAG.
@@ -59,8 +59,8 @@ fn sync_days(mid: DayNum) -> [DayNum; 4] {
     [mid, mid + 32, mid + 64, mid + 96]
 }
 
-fn fresh_manager(w: &sdr_bench::BenchWarehouse) -> SubcubeManager {
-    let m = SubcubeManager::new(w.spec.clone());
+fn fresh_manager(w: &sdr_bench::BenchWarehouse) -> ShardRouter {
+    let m = ShardRouter::in_memory(w.spec.clone());
     m.bulk_load(&w.cs.mo).unwrap();
     m
 }
@@ -105,7 +105,7 @@ fn run_idle(
     q: &CubeQuery,
     samples: usize,
     busy: bool,
-    query: impl Fn(&SubcubeManager, &CubeQuery) -> usize,
+    query: impl Fn(&ShardRouter, &CubeQuery) -> usize,
 ) -> Vec<u64> {
     let m = fresh_manager(w);
     let done = AtomicBool::new(false);
@@ -230,7 +230,7 @@ fn main() {
         w.cs.mo.len()
     );
 
-    let by_view = |m: &SubcubeManager, q: &CubeQuery| m.query(q, w.mid, false).unwrap().len();
+    let by_view = |m: &ShardRouter, q: &CubeQuery| m.query(q, w.mid, false).unwrap().len();
     let idle_v = run_idle(&w, &q, 60, false, by_view);
     let busy_v = run_idle(&w, &q, 60, true, by_view);
     let active_v = run_active_versioned(&w, &q, 5);

@@ -24,7 +24,7 @@ use std::time::Instant;
 use sdr_bench::{bench_warehouse, mo_digest, BenchWarehouse};
 use sdr_mdm::time_cat as tc;
 use sdr_query::{AggApproach, SelectMode};
-use sdr_subcube::{CubeQuery, SubcubeManager};
+use sdr_subcube::{CubeQuery, ShardRouter};
 use specdr::introspect::{explain_query, profile};
 
 fn median_ns(runs: usize, mut f: impl FnMut()) -> u64 {
@@ -54,8 +54,8 @@ fn roll_up(w: &BenchWarehouse) -> CubeQuery {
     }
 }
 
-fn loaded_manager(w: &BenchWarehouse) -> SubcubeManager {
-    let m = SubcubeManager::new(w.spec.clone());
+fn loaded_manager(w: &BenchWarehouse) -> ShardRouter {
+    let m = ShardRouter::in_memory(w.spec.clone());
     m.bulk_load(&w.cs.mo).unwrap();
     m
 }
@@ -102,7 +102,7 @@ fn run_scale(label: &str, w: &BenchWarehouse, runs: usize) -> Vec<Row> {
     });
 
     // Whole-pass pair: manager rebuilt per run outside the clock.
-    let timed_pass = |runs: usize, f: &dyn Fn(&SubcubeManager)| -> u64 {
+    let timed_pass = |runs: usize, f: &dyn Fn(&ShardRouter)| -> u64 {
         let mut samples: Vec<u64> = (0..runs)
             .map(|_| {
                 let m = loaded_manager(w);

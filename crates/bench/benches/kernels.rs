@@ -17,7 +17,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use sdr_bench::{
-    bench_warehouse, manager_digest, mo_digest, mos_digest, sync_naive_replay, BenchWarehouse,
+    bench_warehouse, mo_digest, mos_digest, sync_naive_replay, view_digest, BenchWarehouse,
 };
 use sdr_mdm::time_cat as tc;
 use sdr_query::{
@@ -25,7 +25,7 @@ use sdr_query::{
 };
 use sdr_reduce::{reduce, reduce_naive};
 use sdr_spec::parse_pexp;
-use sdr_subcube::SubcubeManager;
+use sdr_subcube::ShardRouter;
 
 /// Median of `runs` timed executions of `f`, in nanoseconds.
 fn median_ns(runs: usize, mut f: impl FnMut()) -> u64 {
@@ -107,12 +107,12 @@ fn run_scale(label: &str, w: &BenchWarehouse, runs: usize) -> Vec<OpResult> {
     // pre-kernel scan's two independent resolutions. The kernel side
     // re-loads a fresh manager each run (outside the timer) because
     // `sync` consumes the dirty state.
-    let m = SubcubeManager::new(w.spec.clone());
+    let m = ShardRouter::in_memory(w.spec.clone());
     m.bulk_load(raw).unwrap();
-    let naive_cubes = sync_naive_replay(&m, &w.spec, w.mid).unwrap();
+    let naive_cubes = sync_naive_replay(&m.view_set().views()[0], &w.spec, w.mid).unwrap();
     m.sync(w.mid).unwrap();
     assert_eq!(
-        manager_digest(&m),
+        view_digest(&m.view_set().views()[0]),
         mos_digest(&naive_cubes),
         "sync digest mismatch"
     );
@@ -120,7 +120,7 @@ fn run_scale(label: &str, w: &BenchWarehouse, runs: usize) -> Vec<OpResult> {
     // fresh manager per run with the bulk load outside the clock.
     let mut kernel_samples: Vec<u64> = (0..runs)
         .map(|_| {
-            let m = SubcubeManager::new(w.spec.clone());
+            let m = ShardRouter::in_memory(w.spec.clone());
             m.bulk_load(raw).unwrap();
             let t = Instant::now();
             black_box(m.sync(w.mid).unwrap());
@@ -128,13 +128,13 @@ fn run_scale(label: &str, w: &BenchWarehouse, runs: usize) -> Vec<OpResult> {
         })
         .collect();
     kernel_samples.sort_unstable();
-    let m = SubcubeManager::new(w.spec.clone());
+    let m = ShardRouter::in_memory(w.spec.clone());
     m.bulk_load(raw).unwrap();
     out.push(OpResult {
         op: "sync",
         kernel_ns: kernel_samples[kernel_samples.len() / 2],
         naive_ns: median_ns(runs, || {
-            black_box(sync_naive_replay(&m, &w.spec, w.mid).unwrap());
+            black_box(sync_naive_replay(&m.view_set().views()[0], &w.spec, w.mid).unwrap());
         }),
     });
 

@@ -29,7 +29,7 @@ use sdr_bench::{bench_warehouse, mo_digest};
 use sdr_mdm::time_cat as tc;
 use sdr_query::{AggApproach, SelectMode};
 use sdr_spec::parse_pexp;
-use sdr_subcube::{read_manifest, CubeQuery, SubcubeManager};
+use sdr_subcube::{read_manifest, CubeQuery, ShardRouter};
 
 fn median(mut ns: Vec<u64>) -> u64 {
     ns.sort_unstable();
@@ -60,7 +60,11 @@ fn main() {
     let w = bench_warehouse(36, 10_000);
     let facts = w.cs.mo.len() as u64;
     assert!(facts >= 10_000_000, "scale too small: {facts} facts");
-    let m = SubcubeManager::new(w.spec.clone());
+    // A one-shard warehouse on disk: the storage half below reads its
+    // checkpoint manifest.
+    let dir = std::env::temp_dir().join(format!("sdr-e14-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let m = ShardRouter::create(w.spec.clone(), &dir, 1).unwrap();
     m.bulk_load(&w.cs.mo).unwrap();
     m.sync(w.mid).unwrap();
     eprintln!(
@@ -68,8 +72,8 @@ fn main() {
         w.mid
     );
 
-    let view = m.view();
-    let oracle = m.region_oracle(&view);
+    let set = m.view_set();
+    let (view, oracle) = (&set.views()[0], set.oracle(0));
     let queries: &[(&'static str, &str, SelectMode, bool)] = &[
         (
             "old_window_conservative",
@@ -100,23 +104,18 @@ fn main() {
             approach: AggApproach::Availability,
         };
         // Same answer, or the bench aborts.
-        let planned = view
-            .query_planned(&q, w.mid, true, oracle.as_ref())
-            .unwrap();
+        let planned = view.query_planned(&q, w.mid, true, oracle).unwrap();
         let naive = view.query_naive(&q, w.mid, true).unwrap();
         assert_eq!(
             mo_digest(&planned),
             mo_digest(&naive),
             "{label}: planned evaluation diverged from the naive fan-out"
         );
-        let skipped = view.plan(&q, w.mid, oracle.as_ref()).n_skipped();
+        let skipped = view.plan(&q, w.mid, oracle).n_skipped();
 
         let planned_ns = time_runs(
             || {
-                black_box(
-                    view.query_planned(&q, w.mid, true, oracle.as_ref())
-                        .unwrap(),
-                );
+                black_box(view.query_planned(&q, w.mid, true, oracle).unwrap());
             },
             RUNS,
         );
@@ -159,10 +158,8 @@ fn main() {
     // Storage half: checkpoint and read the manifest byte table. `raw`
     // is the uncompressed (format-2 layout) footprint of each cube file,
     // `encoded` what the dictionary + bit-packed format-3 file occupies.
-    let dir = std::env::temp_dir().join(format!("sdr-e14-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    m.save_to_dir(&dir).unwrap();
-    let man = read_manifest(&dir).unwrap();
+    m.checkpoint().unwrap();
+    let man = read_manifest(dir.join("shard-000")).unwrap();
     assert_eq!(man.format, 3);
     let (raw, enc) = man
         .cube_bytes

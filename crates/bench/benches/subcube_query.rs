@@ -8,12 +8,12 @@ use sdr_bench::{bench_warehouse, policy_spec};
 use sdr_mdm::time_cat as tc;
 use sdr_query::{AggApproach, SelectMode};
 use sdr_spec::parse_pexp;
-use sdr_subcube::{CubeQuery, SubcubeManager};
+use sdr_subcube::{CubeQuery, ShardRouter};
 
 fn bench_subcube_query(c: &mut Criterion) {
     sdr_bench::obs_begin();
     let w = bench_warehouse(36, 400);
-    let m = SubcubeManager::new(policy_spec(&w.cs.schema));
+    let m = ShardRouter::in_memory(policy_spec(&w.cs.schema));
     m.bulk_load(&w.cs.mo).unwrap();
     // Mid-life state: tens of thousands of rows spread over all cubes.
     m.sync(w.mid).unwrap();

@@ -11,14 +11,14 @@ use std::hint::black_box;
 
 use sdr_bench::{bench_warehouse, policy_spec};
 use sdr_mdm::calendar::days_from_civil;
-use sdr_subcube::SubcubeManager;
+use sdr_subcube::ShardRouter;
 use sdr_workload::{generate, ClickstreamConfig};
 
-fn settled_manager(clicks_per_day: usize) -> (SubcubeManager, i32) {
+fn settled_manager(clicks_per_day: usize) -> (ShardRouter, i32) {
     // Settle at mid-life so raw, month-tier, and quarter-tier data all
     // coexist — the representative steady state for a tick.
     let w = bench_warehouse(24, clicks_per_day);
-    let m = SubcubeManager::new(policy_spec(&w.cs.schema));
+    let m = ShardRouter::in_memory(policy_spec(&w.cs.schema));
     m.bulk_load(&w.cs.mo).unwrap();
     m.sync(w.mid).unwrap();
     (m, w.mid)
@@ -77,15 +77,17 @@ fn bench_sync(c: &mut Criterion) {
     g.sample_size(10);
     let (m, now) = settled_manager(400);
     m.sync(now).unwrap();
+    let set = m.view_set();
+    let view = &set.views()[0];
     // Same-day: short-circuits on last_sync.
     g.bench_function("same_day", |b| {
-        b.iter(|| black_box(m.needs_sync(now).unwrap()));
+        b.iter(|| black_box(view.needs_sync(now).unwrap()));
     });
     // Next-day (no month boundary crossed): the grounding comparison runs
     // and reports "nothing to do".
     let tomorrow = now + 1;
     g.bench_function("next_day_grounding", |b| {
-        b.iter(|| black_box(m.needs_sync(tomorrow).unwrap()));
+        b.iter(|| black_box(view.needs_sync(tomorrow).unwrap()));
     });
     g.finish();
     sdr_bench::obs_record("subcube_sync");

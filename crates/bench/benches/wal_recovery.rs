@@ -4,9 +4,9 @@
 //!
 //! * **wal_append** — raw cost of journaling one record (frame + CRC +
 //!   fsync), across payload sizes;
-//! * **durable_ops** — the end-to-end tax of logging a bulk load + sync
-//!   through [`DurableWarehouse`] versus applying the same operations
-//!   directly on a [`SubcubeManager`];
+//! * **durable_ops** — the end-to-end tax of journaling a bulk load +
+//!   sync to disk (a one-shard [`ShardRouter`] on the real filesystem)
+//!   versus the in-memory warehouse (the same router over a `MemFs`);
 //! * **recovery** — replay throughput: recover a warehouse whose state
 //!   lives entirely in the WAL tail versus one folded into a checkpoint.
 
@@ -17,7 +17,7 @@ use sdr_bench::policy_spec;
 use sdr_mdm::calendar::days_from_civil;
 use sdr_storage::fs::RealFs;
 use sdr_storage::Wal;
-use sdr_subcube::{DurableWarehouse, SubcubeManager};
+use sdr_subcube::ShardRouter;
 use sdr_workload::{generate, ClickstreamConfig};
 
 fn bench_dir(tag: &str) -> std::path::PathBuf {
@@ -60,7 +60,7 @@ fn bench_durable_ops(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("load_sync_plain", |b| {
         b.iter_batched(
-            || SubcubeManager::new(policy_spec(&cs.schema)),
+            || ShardRouter::in_memory(policy_spec(&cs.schema)),
             |m| {
                 m.bulk_load(&cs.mo).unwrap();
                 black_box(m.sync(now).unwrap())
@@ -75,9 +75,9 @@ fn bench_durable_ops(c: &mut Criterion) {
             || {
                 n += 1;
                 let d = dir.join(format!("w{n}"));
-                DurableWarehouse::create(policy_spec(&cs.schema), &d).unwrap()
+                ShardRouter::create(policy_spec(&cs.schema), &d, 1).unwrap()
             },
-            |mut w| {
+            |w| {
                 w.bulk_load(&cs.mo).unwrap();
                 black_box(w.sync(now).unwrap())
             },
@@ -95,13 +95,13 @@ fn bench_recovery(c: &mut Criterion) {
 
     // A warehouse whose whole history sits in the log tail…
     let wal_dir = bench_dir("rec-wal");
-    let mut w = DurableWarehouse::create(spec.clone(), &wal_dir).unwrap();
+    let w = ShardRouter::create(spec.clone(), &wal_dir, 1).unwrap();
     w.bulk_load(&cs.mo).unwrap();
     w.sync(now).unwrap();
     drop(w);
     // …and the same state folded into a checkpoint (empty tail).
     let ckpt_dir = bench_dir("rec-ckpt");
-    let mut w = DurableWarehouse::create(spec.clone(), &ckpt_dir).unwrap();
+    let w = ShardRouter::create(spec.clone(), &ckpt_dir, 1).unwrap();
     w.bulk_load(&cs.mo).unwrap();
     w.sync(now).unwrap();
     w.checkpoint().unwrap();
@@ -111,10 +111,10 @@ fn bench_recovery(c: &mut Criterion) {
     g.sample_size(10);
     g.throughput(criterion::Throughput::Elements(cs.mo.len() as u64));
     g.bench_function("replay_wal_tail", |b| {
-        b.iter(|| black_box(SubcubeManager::recover(spec.clone(), &wal_dir).unwrap()));
+        b.iter(|| black_box(ShardRouter::recover(spec.clone(), &wal_dir).unwrap()));
     });
     g.bench_function("load_checkpoint", |b| {
-        b.iter(|| black_box(SubcubeManager::recover(spec.clone(), &ckpt_dir).unwrap()));
+        b.iter(|| black_box(ShardRouter::recover(spec.clone(), &ckpt_dir).unwrap()));
     });
     g.finish();
     std::fs::remove_dir_all(&wal_dir).ok();

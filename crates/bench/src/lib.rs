@@ -97,11 +97,6 @@ pub fn mos_digest<'a>(mos: impl IntoIterator<Item = &'a Mo>) -> u64 {
     h
 }
 
-/// The digest of a subcube manager's full state (every cube, in order).
-pub fn manager_digest(m: &sdr_subcube::SubcubeManager) -> u64 {
-    view_digest(&m.view())
-}
-
 /// The digest of one published warehouse version (every cube, in order).
 /// Concurrency tests digest the version a reader observed and compare it
 /// against the digest recorded when that epoch was published.
@@ -117,20 +112,19 @@ pub fn view_digest(v: &sdr_subcube::WarehouseView) -> u64 {
 /// Replays the pre-kernel synchronization scan: two independent cell
 /// resolutions per fact (`home_cube` for placement, `cell_for` for
 /// provenance), grouped into per-cube `BTreeMap`s and rebuilt into fresh
-/// MOs. The manager itself is not mutated — the result models what its
-/// cubes would hold after a sync at `now`, computed the naive way. Used
+/// MOs. The view is not mutated — the result models what its cubes would
+/// hold after a sync at `now`, computed the naive way. Used
 /// by the E10 bench and the CI perf smoke as the timing and correctness
 /// baseline for the memoized kernel scan.
 pub fn sync_naive_replay(
-    m: &sdr_subcube::SubcubeManager,
+    view: &sdr_subcube::WarehouseView,
     spec: &DataReductionSpec,
     now: DayNum,
 ) -> Result<Vec<Mo>, Box<dyn std::error::Error>> {
     use std::collections::BTreeMap;
     /// Accumulator per target cell: folded measures plus the provenance id.
     type CellAcc = (Vec<i64>, u32);
-    let schema = Arc::clone(m.schema());
-    let view = m.view();
+    let schema = Arc::clone(view.schema());
     let n = view.cubes().len();
     let mut groups: Vec<BTreeMap<Vec<sdr_mdm::DimValue>, CellAcc>> =
         (0..n).map(|_| BTreeMap::new()).collect();

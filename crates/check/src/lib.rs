@@ -5,23 +5,26 @@
 //! backend, which exhaustively enumerates thread interleavings up to a
 //! preemption bound. The assertions are the protocol contracts:
 //!
-//! * [`Protocol::Epoch`] — the epoch-publish protocol of
-//!   `SubcubeManager`: two writers bulk-load disjoint fact sets while a
-//!   reader snapshots views. A reader must never observe a torn or
+//! All three warehouse harnesses drive the one warehouse type,
+//! [`ShardRouter`], whose writer lock and view-set swap are the only
+//! synchronization on the write path.
+//!
+//! * [`Protocol::Epoch`] — the epoch-publish protocol: two writers
+//!   bulk-load disjoint fact sets into a one-shard warehouse while a
+//!   reader snapshots view sets. A reader must never observe a torn or
 //!   partially-applied version (fact counts other than a whole-publish
 //!   combination of the loads), its view epoch must never go backwards,
 //!   and both publishes must survive (single-writer serialization).
 //! * [`Protocol::GroupCommit`] — the all-or-nothing batch contract of
-//!   `DurableWarehouse::apply_batch`: a batch whose tail op fails must
-//!   roll the manager back to the pre-batch version, a concurrent
-//!   reader may glimpse the intermediate version but never a torn one,
-//!   and a failed WAL append must wedge the warehouse (broken guard)
-//!   until a checkpoint repairs it.
-//! * [`Protocol::Shard`] — the cross-shard scatter protocol of
-//!   `ShardRouter`: a scatter that fails on one shard after another
-//!   shard acknowledged must wedge the router; every subsequent mutator
-//!   returns the wedge error verbatim while readers keep being served
-//!   the last published set at a monotone epoch.
+//!   `ShardRouter::apply_batch`: a batch whose tail op fails must
+//!   restore the pre-batch version and publish nothing, so a concurrent
+//!   reader never sees any of it and no residue surfaces on the next
+//!   publish or on recovery; a failed WAL append must wedge the
+//!   warehouse until recovery.
+//! * [`Protocol::Shard`] — the cross-shard scatter protocol: a scatter
+//!   whose WAL append fails on one shard must wedge the router; every
+//!   subsequent mutator returns the wedge error verbatim while readers
+//!   keep being served the last published set at a monotone epoch.
 //! * [`Protocol::Serve`] — the connection-admission protocol of
 //!   `specdr serve`: a cap-`N` [`Gate`] must never
 //!   admit `N+1` concurrent holders and must never leak a slot, even on
@@ -46,7 +49,7 @@ use std::sync::Arc;
 use sdr_reduce::DataReductionSpec;
 use sdr_spec::{parse_action, ActionId};
 use sdr_storage::{Fs, MemFs};
-use sdr_subcube::{DurableWarehouse, ShardRouter, SubcubeManager, WarehouseOp, WarehouseView};
+use sdr_subcube::{ShardRouter, ShardViewSet, WarehouseOp};
 use sdr_sync::model::{check, ModelOptions};
 use sdr_sync::{fail, thread, Gate};
 use sdr_workload::{paper_mo, paper_schema, snapshot_days, ACTION_A1, ACTION_A2};
@@ -58,11 +61,11 @@ pub use sdr_sync::model::{Counterexample, Report};
 /// One model-checked concurrency protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Protocol {
-    /// `SubcubeManager` epoch publish: single-writer serialization and
+    /// `ShardRouter` epoch publish: single-writer serialization and
     /// torn-view freedom.
     Epoch,
-    /// `DurableWarehouse::apply_batch`: all-or-nothing batches and the
-    /// broken-WAL guard.
+    /// `ShardRouter::apply_batch`: all-or-nothing batches and the
+    /// failed-append wedge.
     GroupCommit,
     /// `ShardRouter` scatter: divergence wedging and atomic cross-shard
     /// publish.
@@ -149,8 +152,8 @@ pub const MUTATIONS: [Mutation; 4] = [
         name: "publish-unlocked",
         failpoint: "mgr.publish-unlocked",
         protocol: Protocol::Epoch,
-        plants: "publishes skip the writer lock, so a concurrent load/\
-                 publish pair can be lost",
+        plants: "the view set is stored after the writer lock is \
+                 released, so a slower writer can overwrite a newer set",
     },
     Mutation {
         name: "skip-rollback",
@@ -163,8 +166,8 @@ pub const MUTATIONS: [Mutation; 4] = [
         name: "skip-wedge",
         failpoint: "shard.skip-wedge",
         protocol: Protocol::Shard,
-        plants: "a divergent scatter leaves the router unwedged, so \
-                 later mutators run on diverged shards",
+        plants: "a failed scatter append leaves the router unwedged, \
+                 so later mutators run on diverged shards",
     },
     Mutation {
         name: "gate-toctou",
@@ -254,29 +257,57 @@ fn arm(mutation: Option<&'static str>) {
     }
 }
 
-/// Asserts the internal coherence of one published view: every cube
-/// epoch in the version vector is at or behind the view epoch, and the
-/// fact count is one of the whole-publish values in `allowed` — any
-/// other count is a torn or partially-applied version.
-fn assert_view_coherent(v: &WarehouseView, allowed: &[usize]) {
-    for (i, &cube_epoch) in v.version_vector().iter().enumerate() {
-        assert!(
-            cube_epoch <= v.epoch(),
-            "cube {i} is from the future: cube epoch {cube_epoch} > view epoch {}",
-            v.epoch()
-        );
+/// Asserts the internal coherence of one published view set: every
+/// cube epoch in every shard's version vector is at or behind that
+/// shard's view epoch, and the fact count is one of the whole-publish
+/// values in `allowed` — any other count is a torn or partially-applied
+/// version.
+fn assert_set_coherent(set: &ShardViewSet, allowed: &[usize]) {
+    for v in set.views() {
+        for (i, &cube_epoch) in v.version_vector().iter().enumerate() {
+            assert!(
+                cube_epoch <= v.epoch(),
+                "cube {i} is from the future: cube epoch {cube_epoch} > view epoch {}",
+                v.epoch()
+            );
+        }
     }
     assert!(
-        allowed.contains(&v.len()),
+        allowed.contains(&set.len()),
         "reader observed a torn version: {} facts, expected one of {allowed:?}",
-        v.len()
+        set.len()
     );
+}
+
+/// A reader that snapshots the published set twice, asserting each is
+/// coherent and that the set epoch never goes backwards.
+fn read_twice(router: &ShardRouter, floor: u64, allowed: &[usize]) {
+    let v1 = router.view_set();
+    assert!(v1.epoch() >= floor, "view epoch went backwards");
+    assert_set_coherent(&v1, allowed);
+    let v2 = router.view_set();
+    assert!(
+        v2.epoch() >= v1.epoch(),
+        "view epoch went backwards: {} then {}",
+        v1.epoch(),
+        v2.epoch()
+    );
+    assert_set_coherent(&v2, allowed);
+}
+
+/// A fresh `shards`-shard warehouse on its own [`MemFs`] at `/w`.
+fn memfs_router(spec: &DataReductionSpec, shards: usize) -> (Arc<ShardRouter>, Arc<dyn Fs>) {
+    let fs: Arc<dyn Fs> = MemFs::shared();
+    let router =
+        ShardRouter::create_with_fs(spec.clone(), Path::new("/w"), shards, Arc::clone(&fs))
+            .expect("create warehouse");
+    (Arc::new(router), fs)
 }
 
 // ---- epoch publish -----------------------------------------------------
 
 /// Two writers bulk-load disjoint halves of the paper MO while a reader
-/// snapshots the published view twice. See [`Protocol::Epoch`].
+/// snapshots the published view set twice. See [`Protocol::Epoch`].
 fn check_epoch(mopts: &ModelOptions, mutation: Option<&'static str>) -> Report {
     let spec = paper_spec();
     let (mo, _) = paper_mo();
@@ -285,40 +316,22 @@ fn check_epoch(mopts: &ModelOptions, mutation: Option<&'static str>) -> Report {
     let (na, nb) = (part_a.len(), part_b.len());
     check(mopts, move || {
         arm(mutation);
-        let mgr = Arc::new(SubcubeManager::new(spec.clone()));
+        let (router, _) = memfs_router(&spec, 1);
+        let epoch0 = router.view_set().epoch();
         let allowed = [0, na, nb, na + nb];
         thread::scope(|s| {
-            {
-                let mgr = Arc::clone(&mgr);
-                let part_a = &part_a;
-                s.spawn_named("load-a".into(), move || {
-                    mgr.bulk_load(part_a).expect("load a");
+            for (name, part) in [("load-a", &part_a), ("load-b", &part_b)] {
+                let router = Arc::clone(&router);
+                s.spawn_named(name.into(), move || {
+                    router.bulk_load(part).expect("load");
                 });
             }
-            {
-                let mgr = Arc::clone(&mgr);
-                let part_b = &part_b;
-                s.spawn_named("load-b".into(), move || {
-                    mgr.bulk_load(part_b).expect("load b");
-                });
-            }
-            {
-                let mgr = Arc::clone(&mgr);
-                s.spawn_named("reader".into(), move || {
-                    let v1 = mgr.view();
-                    assert_view_coherent(&v1, &allowed);
-                    let v2 = mgr.view();
-                    assert!(
-                        v2.epoch() >= v1.epoch(),
-                        "view epoch went backwards: {} then {}",
-                        v1.epoch(),
-                        v2.epoch()
-                    );
-                    assert_view_coherent(&v2, &allowed);
-                });
-            }
+            let router = Arc::clone(&router);
+            s.spawn_named("reader".into(), move || {
+                read_twice(&router, epoch0, &allowed);
+            });
         });
-        let v = mgr.view();
+        let v = router.view_set();
         assert_eq!(
             v.len(),
             na + nb,
@@ -326,83 +339,87 @@ fn check_epoch(mopts: &ModelOptions, mutation: Option<&'static str>) -> Report {
             v.len(),
             na + nb
         );
-        assert_eq!(v.epoch(), 2, "a concurrent publish was lost (epoch)");
+        assert_eq!(
+            v.epoch(),
+            epoch0 + 2,
+            "a concurrent publish was lost (epoch)"
+        );
     })
 }
 
 // ---- group commit ------------------------------------------------------
 
 /// A writer applies a doomed batch (a bulk load followed by a delete of
-/// an unknown action id) while a reader snapshots views; afterwards the
-/// manager must be back at the pre-batch version, and an injected WAL
-/// append failure must wedge the warehouse. See
-/// [`Protocol::GroupCommit`].
+/// an unknown action id) while a reader snapshots view sets; afterwards
+/// nothing of the batch may surface — not in the published set, not on
+/// the next publish, not on recovery — and an injected WAL append
+/// failure must wedge the warehouse. See [`Protocol::GroupCommit`].
 fn check_group_commit(mopts: &ModelOptions, mutation: Option<&'static str>) -> Report {
     let spec = paper_spec();
     let (mo, _) = paper_mo();
     let base = mo.gather(&[0, 1, 2, 3]);
     let extra = mo.gather(&[4, 5, 6]);
-    let n_extra = extra.len();
     let day = snapshot_days()[0];
     check(mopts, move || {
         arm(mutation);
-        let fs: Arc<dyn Fs> = MemFs::shared();
-        let mut w = DurableWarehouse::create_with_fs(spec.clone(), Path::new("/w"), fs)
-            .expect("create warehouse");
-        w.bulk_load(&base).expect("baseline load");
-        let mgr = w.manager_handle();
-        let pre = mgr.view();
-        let (pre_epoch, pre_len, pre_sync) = (pre.epoch(), pre.len(), pre.last_sync());
-        let allowed = [pre_len, pre_len + n_extra];
+        let (router, fs) = memfs_router(&spec, 1);
+        router.bulk_load(&base).expect("baseline load");
+        let pre = router.view_set();
+        let (pre_epoch, pre_len) = (pre.epoch(), pre.len());
         thread::scope(|s| {
             {
-                let mgr = Arc::clone(&mgr);
+                let router = Arc::clone(&router);
                 s.spawn_named("reader".into(), move || {
-                    let v1 = mgr.view();
-                    assert!(v1.epoch() >= pre_epoch, "view epoch went backwards");
-                    assert_view_coherent(&v1, &allowed);
-                    let v2 = mgr.view();
-                    assert!(
-                        v2.epoch() >= v1.epoch(),
-                        "view epoch went backwards: {} then {}",
-                        v1.epoch(),
-                        v2.epoch()
-                    );
-                    assert_view_coherent(&v2, &allowed);
+                    read_twice(&router, pre_epoch, &[pre_len]);
                 });
             }
             let batch = vec![
                 WarehouseOp::BulkLoad(extra.clone()),
                 WarehouseOp::SpecDelete(vec![ActionId(999)], day),
             ];
-            w.apply_batch(batch)
+            router
+                .apply_batch(batch)
                 .expect_err("a batch deleting an unknown action must fail");
         });
-        let post = mgr.view();
+        assert_eq!(
+            router.view_set().epoch(),
+            pre_epoch,
+            "a failed batch published"
+        );
+        // The next successful publish exposes whatever the engine holds:
+        // a skipped rollback surfaces here as residue.
+        router.sync(day).expect("sync after a failed batch");
+        let post = router.view_set();
         assert_eq!(
             post.len(),
             pre_len,
             "failed batch left residue: rollback did not run"
         );
-        assert_eq!(post.last_sync(), pre_sync, "rollback changed last_sync");
+        let (recovered, _) = ShardRouter::recover_with_fs(spec.clone(), Path::new("/w"), fs)
+            .expect("recover from the MemFs");
+        assert_eq!(
+            recovered.view_set().len(),
+            post.len(),
+            "recovery disagrees with the published state"
+        );
 
-        // Broken-WAL guard: one injected append failure wedges every
-        // later mutation behind the repair error (single-threaded tail,
-        // so this costs no extra interleavings).
+        // Wedge guard: one injected append failure wedges every later
+        // mutation behind the recovery error (single-threaded tail, so
+        // this costs no extra interleavings).
         fail::arm("durable.wal-fail", 1);
-        let e = w
+        let e = router
             .bulk_load(&extra)
             .expect_err("injected WAL failure must surface");
         assert!(
             e.to_string().contains("injected fault"),
             "unexpected append error: {e}"
         );
-        let e2 = w
+        let e2 = router
             .sync(day)
-            .expect_err("a broken warehouse must refuse mutations");
+            .expect_err("a wedged warehouse must refuse mutations");
         assert!(
-            e2.to_string().contains("broken"),
-            "broken guard missing: {e2}"
+            e2.to_string().contains("wedged"),
+            "wedge guard missing: {e2}"
         );
     })
 }
@@ -410,9 +427,8 @@ fn check_group_commit(mopts: &ModelOptions, mutation: Option<&'static str>) -> R
 // ---- cross-shard scatter -----------------------------------------------
 
 /// A writer performs a clean scatter, then one with a WAL failure
-/// injected into shard 0 (shard 1 acknowledges, so the results are
-/// mixed and the router must wedge); a reader snapshots the published
-/// set throughout. See [`Protocol::Shard`].
+/// injected into shard 0's append (the router must wedge); a reader
+/// snapshots the published set throughout. See [`Protocol::Shard`].
 fn check_shard(mopts: &ModelOptions, mutation: Option<&'static str>) -> Report {
     let spec = paper_spec();
     let (mo, _) = paper_mo();
@@ -423,11 +439,7 @@ fn check_shard(mopts: &ModelOptions, mutation: Option<&'static str>) -> Report {
     let day = snapshot_days()[0];
     check(mopts, move || {
         arm(mutation);
-        let fs: Arc<dyn Fs> = MemFs::shared();
-        let router = Arc::new(
-            ShardRouter::create_with_fs(spec.clone(), Path::new("/s"), 2, fs)
-                .expect("create router"),
-        );
+        let (router, _) = memfs_router(&spec, 2);
         router.bulk_load(&base).expect("baseline load");
         let v0 = router.view_set();
         let (epoch0, len0) = (v0.epoch(), v0.len());
@@ -436,25 +448,7 @@ fn check_shard(mopts: &ModelOptions, mutation: Option<&'static str>) -> Report {
             {
                 let router = Arc::clone(&router);
                 s.spawn_named("reader".into(), move || {
-                    let v1 = router.view_set();
-                    assert!(v1.epoch() >= epoch0, "router epoch went backwards");
-                    assert!(
-                        allowed.contains(&v1.len()),
-                        "reader observed a torn scatter: {} facts",
-                        v1.len()
-                    );
-                    let v2 = router.view_set();
-                    assert!(
-                        v2.epoch() >= v1.epoch(),
-                        "router epoch went backwards: {} then {}",
-                        v1.epoch(),
-                        v2.epoch()
-                    );
-                    assert!(
-                        allowed.contains(&v2.len()),
-                        "reader observed a torn scatter: {} facts",
-                        v2.len()
-                    );
+                    read_twice(&router, epoch0, &allowed);
                 });
             }
             {
@@ -462,8 +456,8 @@ fn check_shard(mopts: &ModelOptions, mutation: Option<&'static str>) -> Report {
                 let (good, doomed) = (&good, &doomed);
                 s.spawn_named("writer".into(), move || {
                     router.bulk_load(good).expect("clean scatter");
-                    // Shard 0 logs first in a scatter; one token fails
-                    // exactly its append while shard 1 acknowledges.
+                    // Shards log in order; one token fails exactly
+                    // shard 0's append.
                     fail::arm("durable.wal-fail", 1);
                     let e = router
                         .bulk_load(doomed)

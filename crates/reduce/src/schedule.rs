@@ -11,7 +11,7 @@
 //! days on which *any* cell can cross an action boundary.
 //!
 //! Between two consecutive transition days the reduction function is
-//! constant, so an incremental ager (`SubcubeManager::age`) only has to
+//! constant, so an incremental ager (`ShardRouter::age`) only has to
 //! re-evaluate cells whose coordinates touch a grounding that *changed*
 //! across the tick. [`ReductionSchedule::delta_pred`] returns exactly the
 //! changed disjuncts (as a predicate to evaluate per cell) and

@@ -10,7 +10,49 @@
 //! columns are near-sorted — this is where a large share of the paper's
 //! "huge storage gains" materializes physically.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+/// Little-endian appends onto a byte vector: the write half of the
+/// column and table codecs.
+pub(crate) trait PutLe {
+    fn put_u8(&mut self, v: u8);
+    fn put_u32_le(&mut self, v: u32);
+    fn put_u64_le(&mut self, v: u64);
+}
+
+impl PutLe for Vec<u8> {
+    fn put_u8(&mut self, v: u8) {
+        self.push(v);
+    }
+    fn put_u32_le(&mut self, v: u32) {
+        self.extend_from_slice(&v.to_le_bytes());
+    }
+    fn put_u64_le(&mut self, v: u64) {
+        self.extend_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// A little-endian read cursor over a byte slice: every `get_*` consumes
+/// from the front. Like the codecs' callers, it trusts a preceding
+/// `len()` check and panics on a short slice.
+pub(crate) trait GetLe<'a> {
+    fn take(&mut self, n: usize) -> &'a [u8];
+    fn get_u8(&mut self) -> u8 {
+        self.take(1)[0]
+    }
+    fn get_u32_le(&mut self) -> u32 {
+        u32::from_le_bytes(self.take(4).try_into().unwrap())
+    }
+    fn get_u64_le(&mut self) -> u64 {
+        u64::from_le_bytes(self.take(8).try_into().unwrap())
+    }
+}
+
+impl<'a> GetLe<'a> for &'a [u8] {
+    fn take(&mut self, n: usize) -> &'a [u8] {
+        let (head, rest) = self.split_at(n);
+        *self = rest;
+        head
+    }
+}
 
 /// An encoded `u64` column.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -331,7 +373,7 @@ impl ColumnEnc {
     }
 
     /// Serializes the column into `buf` (tag + length + payload).
-    pub fn write(&self, buf: &mut BytesMut) {
+    pub fn write(&self, buf: &mut Vec<u8>) {
         match self {
             ColumnEnc::Plain(v) => {
                 buf.put_u8(0);
@@ -357,7 +399,7 @@ impl ColumnEnc {
                 buf.put_u64_le(*count);
                 buf.put_u64_le(*base);
                 buf.put_u64_le(deltas.len() as u64);
-                buf.put_slice(deltas);
+                buf.extend_from_slice(deltas);
             }
             ColumnEnc::BitPacked {
                 min,
@@ -396,21 +438,21 @@ impl ColumnEnc {
     /// Deserializes a column previously written with [`ColumnEnc::write`].
     ///
     /// Returns `None` on malformed input.
-    pub fn read(buf: &mut Bytes) -> Option<ColumnEnc> {
-        if buf.remaining() < 9 {
+    pub fn read(buf: &mut &[u8]) -> Option<ColumnEnc> {
+        if buf.len() < 9 {
             return None;
         }
         let tag = buf.get_u8();
         let n = buf.get_u64_le() as usize;
         match tag {
             0 => {
-                if buf.remaining() < n * 8 {
+                if buf.len() < n * 8 {
                     return None;
                 }
                 Some(ColumnEnc::Plain((0..n).map(|_| buf.get_u64_le()).collect()))
             }
             1 => {
-                if buf.remaining() < n * 12 {
+                if buf.len() < n * 12 {
                     return None;
                 }
                 Some(ColumnEnc::Rle(
@@ -420,15 +462,15 @@ impl ColumnEnc {
                 ))
             }
             2 => {
-                if buf.remaining() < 16 {
+                if buf.len() < 16 {
                     return None;
                 }
                 let base = buf.get_u64_le();
                 let dlen = buf.get_u64_le() as usize;
-                if buf.remaining() < dlen {
+                if buf.len() < dlen {
                     return None;
                 }
-                let deltas = buf.copy_to_bytes(dlen).to_vec();
+                let deltas = buf.take(dlen).to_vec();
                 // Validate the payload decodes to exactly count-1 deltas.
                 let mut pos = 0usize;
                 for _ in 1..n {
@@ -444,7 +486,7 @@ impl ColumnEnc {
                 })
             }
             3 => {
-                if buf.remaining() < 9 {
+                if buf.len() < 9 {
                     return None;
                 }
                 let min = buf.get_u64_le();
@@ -453,7 +495,7 @@ impl ColumnEnc {
                     return None;
                 }
                 let n_words = packed_words(n as u64, width);
-                if buf.remaining() < n_words.checked_mul(8)? {
+                if buf.len() < n_words.checked_mul(8)? {
                     return None;
                 }
                 let words: Vec<u64> = (0..n_words).map(|_| buf.get_u64_le()).collect();
@@ -465,7 +507,7 @@ impl ColumnEnc {
                 })
             }
             4 => {
-                if buf.remaining() < 9 {
+                if buf.len() < 9 {
                     return None;
                 }
                 let dict_len = buf.get_u64_le() as usize;
@@ -477,7 +519,7 @@ impl ColumnEnc {
                 let need = dict_len
                     .checked_add(n_words)
                     .and_then(|t| t.checked_mul(8))?;
-                if buf.remaining() < need {
+                if buf.len() < need {
                     return None;
                 }
                 let dict: Vec<u64> = (0..dict_len).map(|_| buf.get_u64_le()).collect();
@@ -547,9 +589,9 @@ mod tests {
         let e = ColumnEnc::encode(&col);
         assert_eq!(e.decode(), col);
         // Zigzag varints roundtrip through serialization too.
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         e.write(&mut buf);
-        let mut b = buf.freeze();
+        let mut b = &buf[..];
         assert_eq!(ColumnEnc::read(&mut b).unwrap().decode(), col);
     }
 
@@ -562,9 +604,9 @@ mod tests {
             (0..100u64).collect::<Vec<_>>(),
         ] {
             let e = ColumnEnc::encode(&col);
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             e.write(&mut buf);
-            let mut b = buf.freeze();
+            let mut b = &buf[..];
             let d = ColumnEnc::read(&mut b).unwrap();
             assert_eq!(d.decode(), col);
         }
@@ -632,13 +674,13 @@ mod tests {
         ];
         for e in cases {
             let col = e.decode();
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             e.write(&mut buf);
-            let mut b = buf.freeze();
+            let mut b = &buf[..];
             let d = ColumnEnc::read(&mut b).unwrap();
             assert_eq!(d, e);
             assert_eq!(d.decode(), col);
-            assert_eq!(b.remaining(), 0, "reader consumed the column exactly");
+            assert_eq!(b.len(), 0, "reader consumed the column exactly");
         }
     }
 
@@ -651,9 +693,9 @@ mod tests {
             // Index 3 is out of range for a 2-entry dictionary.
             words: vec![0b11_01_00_01],
         };
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         e.write(&mut buf);
-        let mut b = buf.freeze();
+        let mut b = &buf[..];
         assert!(ColumnEnc::read(&mut b).is_none());
     }
 
@@ -670,10 +712,10 @@ mod tests {
                 matches!(e, ColumnEnc::BitPacked { .. } | ColumnEnc::Dict { .. }),
                 "{e:?}"
             );
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             e.write(&mut buf);
-            let full = buf.freeze();
-            let mut truncated = full.slice(0..full.len() - 5);
+            let full = &buf[..];
+            let mut truncated = &full[..full.len() - 5];
             assert!(ColumnEnc::read(&mut truncated).is_none());
         }
     }
@@ -681,12 +723,12 @@ mod tests {
     #[test]
     fn read_rejects_truncation() {
         let e = ColumnEnc::encode(&(0..100u64).collect::<Vec<_>>());
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         e.write(&mut buf);
-        let full = buf.freeze();
-        let mut truncated = full.slice(0..full.len() - 4);
+        let full = &buf[..];
+        let mut truncated = &full[..full.len() - 4];
         assert!(ColumnEnc::read(&mut truncated).is_none());
-        let mut empty = Bytes::new();
+        let mut empty: &[u8] = &[];
         assert!(ColumnEnc::read(&mut empty).is_none());
     }
 }

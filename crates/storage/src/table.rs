@@ -8,11 +8,9 @@
 
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 use sdr_mdm::{CatId, DimValue, KeyPacker, Mo, Schema};
 
-use crate::encode::ColumnEnc;
+use crate::encode::{ColumnEnc, GetLe, PutLe};
 use crate::error::StorageError;
 
 /// Default number of rows per segment.
@@ -396,10 +394,10 @@ impl FactTable {
 
     /// Serializes the table (all segments sealed first) to a byte buffer
     /// in the current (format-2) layout.
-    pub fn serialize(&mut self) -> Bytes {
+    pub fn serialize(&mut self) -> Vec<u8> {
         let _span = sdr_obs::span("storage.serialize");
         self.seal();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         buf.put_u64_le(MAGIC_V2);
         buf.put_u32_le(self.schema.n_dims() as u32);
         buf.put_u32_le(self.schema.n_measures() as u32);
@@ -421,9 +419,8 @@ impl FactTable {
             }
             s.origin.write(&mut buf);
         }
-        let out = buf.freeze();
-        sdr_obs::add("storage.serialized_bytes", out.len() as u64);
-        out
+        sdr_obs::add("storage.serialized_bytes", buf.len() as u64);
+        buf
     }
 
     /// Serializes in the legacy format-1 layout (`SDRFACT1` magic,
@@ -431,9 +428,9 @@ impl FactTable {
     /// pre-format-2 builds wrote. Sealed columns are transcoded through
     /// the legacy encoder. Only the format-migration tests should need
     /// this.
-    pub fn serialize_legacy(&mut self) -> Bytes {
+    pub fn serialize_legacy(&mut self) -> Vec<u8> {
         self.seal();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         buf.put_u64_le(MAGIC_V1);
         buf.put_u32_le(self.schema.n_dims() as u32);
         buf.put_u32_le(self.schema.n_measures() as u32);
@@ -445,7 +442,7 @@ impl FactTable {
             }
             ColumnEnc::encode_legacy(&s.origin.decode()).write(&mut buf);
         }
-        buf.freeze()
+        buf
     }
 
     /// Persists the table (all segments sealed) to a file, durably: the
@@ -480,16 +477,20 @@ impl FactTable {
         path: impl AsRef<std::path::Path>,
     ) -> Result<FactTable, StorageError> {
         let bytes = std::fs::read(path)?;
-        Self::deserialize(schema, Bytes::from(bytes))
+        Self::deserialize(schema, bytes)
     }
 
     /// Deserializes a table previously produced by [`FactTable::serialize`]
     /// for the same schema. Category indices are *not* validated here —
     /// [`scan`](FactTable::scan)/[`to_mo`](FactTable::to_mo) reject
     /// out-of-range ones on materialization.
-    pub fn deserialize(schema: Arc<Schema>, mut buf: Bytes) -> Result<FactTable, StorageError> {
+    pub fn deserialize(
+        schema: Arc<Schema>,
+        buf: impl AsRef<[u8]>,
+    ) -> Result<FactTable, StorageError> {
+        let mut buf = buf.as_ref();
         let bad = || StorageError::Corrupt("truncated or malformed table".into());
-        if buf.remaining() < 20 {
+        if buf.len() < 20 {
             return Err(bad());
         }
         let magic = buf.get_u64_le();
@@ -504,18 +505,18 @@ impl FactTable {
         let n_segments = buf.get_u32_le() as usize;
         let mut t = FactTable::new(schema);
         for _ in 0..n_segments {
-            if buf.remaining() < 8 {
+            if buf.len() < 8 {
                 return Err(bad());
             }
             let len = buf.get_u64_le() as usize;
             let zone = if magic == MAGIC_V2 {
-                if buf.remaining() < 1 {
+                if buf.is_empty() {
                     return Err(bad());
                 }
                 match buf.get_u8() {
                     0 => None,
                     1 => {
-                        if buf.remaining() < 32 {
+                        if buf.len() < 32 {
                             return Err(bad());
                         }
                         let mut next = || {
@@ -533,7 +534,7 @@ impl FactTable {
             } else {
                 None
             };
-            let read_cols = |k: usize, buf: &mut Bytes| -> Result<Vec<ColumnEnc>, StorageError> {
+            let read_cols = |k: usize, buf: &mut &[u8]| -> Result<Vec<ColumnEnc>, StorageError> {
                 (0..k)
                     .map(|_| ColumnEnc::read(buf).ok_or_else(bad))
                     .collect()

@@ -1,17 +1,17 @@
-//! The crash-safe warehouse: a [`SubcubeManager`] behind a per-warehouse
-//! write-ahead log and atomic checkpoints.
+//! One shard's durability: its engine behind a write-ahead log and
+//! atomic checkpoints.
 //!
 //! Irreversible reduction makes durability *more* critical than in an
 //! ordinary warehouse — an aggregate lost to a torn write cannot be
-//! recomputed from detail that was already purged. [`DurableWarehouse`]
-//! therefore journals every state-changing operation (bulk loads, sync
-//! passes, and specification `insert`/`delete`) as a CRC-checksummed
-//! record *before* acknowledging it, and periodically folds the log into
-//! an atomic checkpoint (see [`crate::persist`]). Recovery loads the
-//! live checkpoint and deterministically replays the log tail; torn or
-//! corrupt tail records are detected by checksum and dropped — they were
-//! never acknowledged, so dropping them restores exactly the committed
-//! state.
+//! recomputed from detail that was already purged. Every state-changing
+//! operation (bulk loads, sync and aging passes, and specification
+//! `insert`/`delete`) is therefore journaled as a CRC-checksummed
+//! [`WalOp`] record *before* it is acknowledged, and checkpoints
+//! periodically fold the log into an atomic snapshot (see
+//! [`crate::persist`]). Recovery loads the live checkpoint and
+//! deterministically replays the log tail; torn or corrupt tail records
+//! are detected by checksum and dropped — they were never acknowledged,
+//! so dropping them restores exactly the committed state.
 //!
 //! The contract, proven by the fault-injection matrix in
 //! `tests/durability.rs`: an operation that returned `Ok` survives any
@@ -20,49 +20,49 @@
 //!
 //! # Group commit
 //!
-//! [`DurableWarehouse::apply_batch`] journals a whole batch of
-//! operations as **one** WAL record (one write, one fsync) packed with
-//! [`sdr_storage::pack_group`]. Because the batch travels inside a single
-//! CRC frame, the crash contract extends naturally: an acknowledged batch
-//! survives in full, and a crash mid-append drops the batch in full — a
-//! *partially* recovered batch is structurally impossible. A batch that
-//! fails in memory is rolled back by re-publishing the pre-batch
-//! snapshot, so `Err` still means "as if never issued".
+//! [`ShardRouter::apply_batch`](crate::ShardRouter::apply_batch)
+//! journals a whole batch of operations as **one** WAL record per shard
+//! (one write, one fsync) packed with [`sdr_storage::pack_group`].
+//! Because the batch travels inside a single CRC frame, an acknowledged
+//! batch survives in full, and a crash mid-append drops the batch in
+//! full — a *partially* recovered batch is structurally impossible.
+//!
+//! `Shard` is private to the crate: the router owns one per shard and
+//! is the only type that mutates, checkpoints or recovers a warehouse.
 
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use sdr_mdm::{DayNum, Mo};
 use sdr_reduce::{DataReductionSpec, ReduceError};
 use sdr_spec::{parse_action, ActionId, ActionSpec};
-use sdr_storage::fs::{Fs, RealFs};
+use sdr_storage::fs::Fs;
 use sdr_storage::{FactTable, Wal};
 use sdr_sync::fail;
 
 use crate::error::SubcubeError;
 use crate::layout::WarehouseLayout;
-use crate::manager::{AgeStats, SubcubeManager, SyncStats};
+use crate::manager::SubcubeManager;
 use crate::persist::{
     load_checkpoint, read_current, read_manifest_at, spec_from_manifest, sweep_garbage,
-    write_checkpoint, write_current,
+    write_checkpoint, write_checkpoint_fmt, write_current,
 };
 
 /// One logged warehouse operation — the unit of replay.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalOp {
-    /// New facts absorbed by [`SubcubeManager::bulk_load`], serialized as
-    /// an `sdr-storage` fact table.
+    /// New bottom-granularity facts, serialized as an `sdr-storage` fact
+    /// table.
     BulkLoad(Vec<u8>),
-    /// A synchronization pass ([`SubcubeManager::sync`]) at a day. Sync
-    /// is deterministic, so logging the day is enough to replay the
-    /// collapse/advance it performed.
+    /// A synchronization pass at a day. Sync is deterministic, so
+    /// logging the day is enough to replay the collapse/advance it
+    /// performed.
     Sync(DayNum),
     /// Actions inserted into the specification, in source form (the
     /// rendered action round-trips through the parser).
     SpecInsert(Vec<String>),
     /// Actions deleted from the specification at a day.
     SpecDelete(Vec<u32>, DayNum),
-    /// An incremental aging pass ([`SubcubeManager::age`]) to a day.
+    /// An incremental aging pass to a day.
     /// Aging is deterministic (the tick sequence is derived from the
     /// spec's transition schedule), so logging the target day is enough
     /// to replay every tick it applied.
@@ -162,16 +162,13 @@ impl WalOp {
         Ok(op)
     }
 
-    /// Applies the operation to a manager (replay path — must mirror the
+    /// Applies the operation to an engine (replay path — must mirror the
     /// live path byte for byte).
-    fn apply(&self, mgr: &SubcubeManager) -> Result<(), SubcubeError> {
+    fn replay(&self, mgr: &mut SubcubeManager) -> Result<(), SubcubeError> {
         match self {
             WalOp::BulkLoad(table) => {
-                let t = FactTable::deserialize(
-                    Arc::clone(mgr.schema()),
-                    bytes::Bytes::from(table.clone()),
-                )
-                .map_err(|e| SubcubeError::Storage(e.to_string()))?;
+                let t = FactTable::deserialize(Arc::clone(mgr.schema()), table)
+                    .map_err(|e| SubcubeError::Storage(e.to_string()))?;
                 let mo = t
                     .to_mo()
                     .map_err(|e| SubcubeError::Storage(e.to_string()))?;
@@ -199,7 +196,7 @@ impl WalOp {
 }
 
 /// A warehouse mutation, the caller-facing unit of a group-committed
-/// batch (see [`DurableWarehouse::apply_batch`]).
+/// batch (see [`ShardRouter::apply_batch`](crate::ShardRouter::apply_batch)).
 #[derive(Debug, Clone)]
 pub enum WarehouseOp {
     /// Bulk-load bottom-granularity facts.
@@ -214,118 +211,135 @@ pub enum WarehouseOp {
     SpecDelete(Vec<ActionId>, DayNum),
 }
 
-/// What [`SubcubeManager::recover`] found and did.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecoveryReport {
-    /// The checkpoint epoch the recovery started from.
-    pub epoch: u64,
-    /// Operations replayed on top of the checkpoint (a group-committed
-    /// batch record counts once per operation it carries).
-    pub replayed: usize,
-    /// Bytes of torn/corrupt log tail detected by CRC and dropped.
-    pub dropped_bytes: usize,
-    /// Total acknowledged operations now reflected in the warehouse
-    /// (checkpoint high-water mark + replayed records).
-    pub ops_durable: u64,
-    /// The recovered `last_sync`.
-    pub last_sync: Option<DayNum>,
-    /// Cubes whose persisted statistics were verified bit-identical to a
-    /// recomputation from the checkpoint's cube files (0 for legacy
-    /// format-1 manifests, which carry no stats).
-    pub stats_verified: usize,
+impl WarehouseOp {
+    /// Applies the operation to an engine and returns its log record.
+    /// The record replays to exactly this state change.
+    pub(crate) fn apply(&self, mgr: &mut SubcubeManager) -> Result<WalOp, SubcubeError> {
+        Ok(match self {
+            WarehouseOp::BulkLoad(mo) => {
+                let rec = WalOp::bulk_load(mo)?;
+                mgr.bulk_load(mo)?;
+                rec
+            }
+            WarehouseOp::Sync(now) => {
+                mgr.sync(*now)?;
+                WalOp::Sync(*now)
+            }
+            WarehouseOp::Age(until) => {
+                mgr.age(*until)?;
+                WalOp::Age(*until)
+            }
+            WarehouseOp::SpecInsert(new) => {
+                let rec = WalOp::spec_insert(mgr.schema(), new)?;
+                mgr.evolve_insert(new.clone())?;
+                rec
+            }
+            WarehouseOp::SpecDelete(ids, now) => {
+                mgr.evolve_delete(ids, *now)?;
+                WalOp::SpecDelete(ids.iter().map(|i| i.0).collect(), *now)
+            }
+        })
+    }
 }
 
-/// A [`SubcubeManager`] whose every state change is write-ahead logged
-/// and whose checkpoints are atomic. See the module docs for the crash
-/// contract.
-pub struct DurableWarehouse {
-    mgr: Arc<SubcubeManager>,
+impl WalOp {
+    /// The record of a bulk load of `facts`.
+    pub(crate) fn bulk_load(facts: &Mo) -> Result<WalOp, SubcubeError> {
+        let mut t = FactTable::from_mo(facts, sdr_storage::DEFAULT_SEGMENT_ROWS)
+            .map_err(|e| SubcubeError::Storage(e.to_string()))?;
+        Ok(WalOp::BulkLoad(t.serialize()))
+    }
+
+    /// The record of a specification insert. The log must replay to the
+    /// identical spec, so actions whose rendering does not round-trip
+    /// through the parser are rejected (none known).
+    pub(crate) fn spec_insert(
+        schema: &Arc<sdr_mdm::Schema>,
+        new: &[ActionSpec],
+    ) -> Result<WalOp, SubcubeError> {
+        let srcs: Vec<String> = new.iter().map(|a| a.render(schema)).collect();
+        for (src, a) in srcs.iter().zip(new) {
+            let back = parse_action(schema, src).map_err(ReduceError::Spec)?;
+            if back != *a {
+                return Err(SubcubeError::Storage(format!(
+                    "action does not round-trip through its rendering: {src}"
+                )));
+            }
+        }
+        Ok(WalOp::SpecInsert(srcs))
+    }
+}
+
+/// What recovering one shard found and did.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ShardReplay {
+    /// Operations replayed on top of the checkpoint (a group-committed
+    /// batch record counts once per operation it carries).
+    pub(crate) replayed: usize,
+    /// Bytes of torn/corrupt log tail detected by CRC and dropped.
+    pub(crate) dropped_bytes: usize,
+    /// Cubes whose persisted statistics were verified against a
+    /// recomputation (0 for legacy format-1 manifests).
+    pub(crate) stats_verified: usize,
+}
+
+/// One shard: its engine, its log and its checkpoint chain. Owned by the
+/// router and mutated only under the router's writer lock.
+pub(crate) struct Shard {
+    pub(crate) engine: SubcubeManager,
     fs: Arc<dyn Fs>,
-    dir: PathBuf,
-    epoch: u64,
+    layout: WarehouseLayout,
+    /// The live checkpoint epoch.
+    pub(crate) epoch: u64,
     wal: Wal,
     /// Operations folded into the live checkpoint (cumulative).
     hwm: u64,
     /// Operations carried by the live log (a group-committed batch record
     /// counts once per operation — [`Wal::records`] counts frames).
     ops_in_log: u64,
-    /// Set when a log append failed: the in-memory state may be ahead of
-    /// the log, so further mutations are refused until a checkpoint
-    /// re-establishes the invariant.
-    broken: bool,
 }
 
-impl DurableWarehouse {
-    /// Creates a fresh durable warehouse at `dir` (epoch 0 checkpoint of
-    /// the empty manager plus an empty log). Fails if `dir` already
-    /// holds a warehouse.
-    pub fn create(
+impl Shard {
+    /// Creates a fresh shard at `layout` (epoch 0 checkpoint of the empty
+    /// engine plus an empty log). Fails if the directory already holds
+    /// one.
+    pub(crate) fn create(
         spec: DataReductionSpec,
-        dir: impl AsRef<Path>,
-    ) -> Result<DurableWarehouse, SubcubeError> {
-        Self::create_with_fs(spec, dir.as_ref(), RealFs::shared())
-    }
-
-    /// [`DurableWarehouse::create`] through an explicit [`Fs`].
-    pub fn create_with_fs(
-        spec: DataReductionSpec,
-        dir: &Path,
+        layout: WarehouseLayout,
         fs: Arc<dyn Fs>,
-    ) -> Result<DurableWarehouse, SubcubeError> {
-        let lay = WarehouseLayout::at(dir);
-        if fs.exists(&lay.current()) {
+    ) -> Result<Shard, SubcubeError> {
+        let dir = layout.root();
+        if fs.exists(&layout.current()) {
             return Err(SubcubeError::Storage(format!(
                 "{}: already a warehouse directory (use open/recover)",
                 dir.display()
             )));
         }
-        let mgr = Arc::new(SubcubeManager::new(spec));
-        write_checkpoint(&mgr.view(), fs.as_ref(), dir, 0, 0)?;
-        let wal = Wal::create(Arc::clone(&fs), lay.wal(0), 0)
+        let engine = SubcubeManager::new(spec);
+        write_checkpoint(&engine.view(), fs.as_ref(), dir, 0, 0)?;
+        let wal = Wal::create(Arc::clone(&fs), layout.wal(0), 0)
             .map_err(|e| SubcubeError::Storage(e.to_string()))?;
         write_current(fs.as_ref(), dir, 0)?;
-        Ok(DurableWarehouse {
-            mgr,
+        Ok(Shard {
+            engine,
             fs,
-            dir: dir.to_path_buf(),
+            layout,
             epoch: 0,
             wal,
             hwm: 0,
             ops_in_log: 0,
-            broken: false,
         })
     }
 
-    /// Opens `dir`: recovers an existing warehouse (replaying the log
-    /// tail) or creates a fresh one when the directory is empty.
-    pub fn open(
-        spec: DataReductionSpec,
-        dir: impl AsRef<Path>,
-    ) -> Result<DurableWarehouse, SubcubeError> {
-        Self::open_with_fs(spec, dir.as_ref(), RealFs::shared())
-    }
-
-    /// [`DurableWarehouse::open`] through an explicit [`Fs`].
-    pub fn open_with_fs(
-        spec: DataReductionSpec,
-        dir: &Path,
+    /// Recovers a shard: loads the live checkpoint, truncates any torn
+    /// log tail, and replays the surviving records.
+    pub(crate) fn recover(
+        spec: &DataReductionSpec,
+        layout: WarehouseLayout,
         fs: Arc<dyn Fs>,
-    ) -> Result<DurableWarehouse, SubcubeError> {
-        if fs.exists(&WarehouseLayout::at(dir).current()) {
-            Ok(Self::recover_with_fs(spec, dir, fs)?.0)
-        } else {
-            Self::create_with_fs(spec, dir, fs)
-        }
-    }
-
-    /// Recovers a warehouse: loads the live checkpoint, truncates any
-    /// torn log tail, and replays the surviving records.
-    pub fn recover_with_fs(
-        spec: DataReductionSpec,
-        dir: &Path,
-        fs: Arc<dyn Fs>,
-    ) -> Result<(DurableWarehouse, RecoveryReport), SubcubeError> {
+    ) -> Result<(Shard, ShardReplay), SubcubeError> {
         let _span = sdr_obs::span("durable.recover");
+        let dir = layout.root();
         let epoch = read_current(fs.as_ref(), dir)?;
         // The specification is durable state: journaled `insert`/`delete`
         // operations may have evolved it past what the caller configured,
@@ -334,9 +348,8 @@ impl DurableWarehouse {
         // the schema to parse it against.
         let manifest = read_manifest_at(fs.as_ref(), dir, epoch)?;
         let ckpt_spec = spec_from_manifest(spec.schema(), &manifest)?;
-        let (mgr, manifest) = load_checkpoint(ckpt_spec, fs.as_ref(), dir, epoch)?;
-        let mgr = Arc::new(mgr);
-        let wal_path = WarehouseLayout::at(dir).wal(epoch);
+        let (mut engine, manifest) = load_checkpoint(ckpt_spec, fs.as_ref(), dir, epoch)?;
+        let wal_path = layout.wal(epoch);
         let (wal, records, dropped_bytes) = if fs.exists(&wal_path) {
             let (wal, scan) = Wal::open(Arc::clone(&fs), wal_path)
                 .map_err(|e| SubcubeError::Storage(e.to_string()))?;
@@ -358,22 +371,20 @@ impl DurableWarehouse {
         let replay_span = sdr_obs::span("durable.recover.replay");
         let mut replayed = 0usize;
         for payload in &records {
-            if sdr_storage::is_group(payload) {
-                // A group-committed batch: the frame's CRC already proved
-                // it complete, so every packed operation replays (or none
-                // of the record survived the torn-tail scan).
-                let parts = sdr_storage::unpack_group(payload)
+            // A group-committed batch: the frame's CRC already proved it
+            // complete, so every packed operation replays (or none of
+            // the record survived the torn-tail scan).
+            let unpacked;
+            let parts: Vec<&[u8]> = if sdr_storage::is_group(payload) {
+                unpacked = sdr_storage::unpack_group(payload)
                     .map_err(|e| SubcubeError::Storage(e.to_string()))?;
-                for part in &parts {
-                    let op_span = sdr_obs::span("durable.recover.replay_op");
-                    WalOp::decode(part)?.apply(&mgr)?;
-                    drop(op_span);
-                    replayed += 1;
-                }
+                unpacked.iter().map(Vec::as_slice).collect()
             } else {
-                let op_span = sdr_obs::span("durable.recover.replay_op");
-                WalOp::decode(payload)?.apply(&mgr)?;
-                drop(op_span);
+                vec![payload]
+            };
+            for part in parts {
+                let _op_span = sdr_obs::span("durable.recover.replay_op");
+                WalOp::decode(part)?.replay(&mut engine)?;
                 replayed += 1;
             }
         }
@@ -382,7 +393,7 @@ impl DurableWarehouse {
         // stats as they go; re-assert the no-drift invariant on the final
         // recovered state (the persisted copy was already verified
         // against the checkpoint files in `load_checkpoint`).
-        mgr.verify_stats()?;
+        engine.view().verify_stats()?;
         if sdr_obs::enabled() {
             sdr_obs::inc("durable.recover.runs");
             sdr_obs::add("durable.recover.records_replayed", replayed as u64);
@@ -392,296 +403,92 @@ impl DurableWarehouse {
                 manifest.cube_stats.len() as u64,
             );
         }
-        let report = RecoveryReport {
-            epoch,
+        let replay = ShardReplay {
             replayed,
             dropped_bytes,
-            ops_durable: manifest.wal_hwm + replayed as u64,
-            last_sync: mgr.last_sync(),
             stats_verified: manifest.cube_stats.len(),
         };
-        let w = DurableWarehouse {
-            mgr,
+        let shard = Shard {
+            engine,
             fs,
-            dir: dir.to_path_buf(),
+            layout,
             epoch,
             wal,
             hwm: manifest.wal_hwm,
             ops_in_log: replayed as u64,
-            broken: false,
         };
-        Ok((w, report))
-    }
-
-    /// The recovered/managed warehouse (queries go through here).
-    pub fn manager(&self) -> &SubcubeManager {
-        &self.mgr
-    }
-
-    /// A shared handle to the underlying manager, so readers on other
-    /// threads can acquire views while this warehouse mutates (the
-    /// group-commit model harness observes rollback through this).
-    pub fn manager_handle(&self) -> Arc<SubcubeManager> {
-        Arc::clone(&self.mgr)
-    }
-
-    /// The warehouse directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The live checkpoint epoch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
+        Ok((shard, replay))
     }
 
     /// Total acknowledged (durable) operations: every operation with an
-    /// index below this value survives any crash; operations issued
-    /// after it were never acknowledged.
-    pub fn ops_durable(&self) -> u64 {
+    /// index below this value survives any crash.
+    pub(crate) fn ops_durable(&self) -> u64 {
         self.hwm + self.ops_in_log
     }
 
-    /// True when a log append failed and mutations are refused until the
-    /// next successful [`checkpoint`](DurableWarehouse::checkpoint).
-    pub fn is_broken(&self) -> bool {
-        self.broken
-    }
-
-    fn guard(&self) -> Result<(), SubcubeError> {
-        if self.broken {
-            return Err(SubcubeError::Storage(
-                "warehouse log is broken after a failed append; checkpoint to repair".into(),
-            ));
-        }
-        Ok(())
-    }
-
-    /// Appends an already-applied operation; a failure poisons the
-    /// warehouse (memory is ahead of the log) until a checkpoint.
-    fn log(&mut self, op: &WalOp) -> Result<(), SubcubeError> {
+    /// Journals already-applied operations: one plain record for a single
+    /// operation, one group record for a batch.
+    pub(crate) fn log(&mut self, ops: &[WalOp], group: bool) -> Result<(), SubcubeError> {
         // `durable.wal-fail` injects an append failure so the checker
-        // can drive the broken-log path deterministically.
+        // can drive the wedge path deterministically.
         if fail::point("durable.wal-fail") {
-            self.broken = true;
             return Err(SubcubeError::Storage(
                 "wal append failed: injected fault".into(),
             ));
         }
-        if let Err(e) = self.wal.append(&op.encode()) {
-            self.broken = true;
-            return Err(SubcubeError::Storage(format!("wal append failed: {e}")));
-        }
-        self.ops_in_log += 1;
-        Ok(())
-    }
-
-    /// Applies one [`WarehouseOp`] to the manager, returning its log
-    /// encoding. Shared by [`apply_batch`](DurableWarehouse::apply_batch);
-    /// must mirror the single-op paths exactly so replay is identical.
-    fn apply_one(&self, op: WarehouseOp) -> Result<WalOp, SubcubeError> {
-        match op {
-            WarehouseOp::BulkLoad(mo) => {
-                let mut t = FactTable::from_mo(&mo, sdr_storage::DEFAULT_SEGMENT_ROWS)
-                    .map_err(|e| SubcubeError::Storage(e.to_string()))?;
-                let w = WalOp::BulkLoad(t.serialize().to_vec());
-                self.mgr.bulk_load(&mo)?;
-                Ok(w)
-            }
-            WarehouseOp::Sync(now) => {
-                self.mgr.sync(now)?;
-                Ok(WalOp::Sync(now))
-            }
-            WarehouseOp::Age(until) => {
-                self.mgr.age(until)?;
-                Ok(WalOp::Age(until))
-            }
-            WarehouseOp::SpecInsert(new) => {
-                let schema = Arc::clone(self.mgr.schema());
-                let srcs: Vec<String> = new.iter().map(|a| a.render(&schema)).collect();
-                for (src, a) in srcs.iter().zip(&new) {
-                    let back = parse_action(&schema, src).map_err(ReduceError::Spec)?;
-                    if back != *a {
-                        return Err(SubcubeError::Storage(format!(
-                            "action does not round-trip through its rendering: {src}"
-                        )));
-                    }
-                }
-                self.mgr.evolve_insert(new)?;
-                Ok(WalOp::SpecInsert(srcs))
-            }
-            WarehouseOp::SpecDelete(ids, now) => {
-                self.mgr.evolve_delete(&ids, now)?;
-                Ok(WalOp::SpecDelete(ids.iter().map(|i| i.0).collect(), now))
-            }
-        }
-    }
-
-    /// Group commit: applies a batch of operations and journals them as
-    /// **one** WAL record — one write, one fsync — so durability cost is
-    /// paid per batch, not per operation. On `Ok`, every operation of the
-    /// batch is durable. On `Err` nothing is: a batch that fails in
-    /// memory is rolled back by re-publishing the pre-batch snapshot
-    /// (concurrent readers may have glimpsed the intermediate published
-    /// versions, which are each internally consistent), and a batch whose
-    /// append tears recovers to nothing of the batch — the record's CRC
-    /// frame makes a partial batch structurally impossible. Returns the
-    /// number of operations committed.
-    pub fn apply_batch(&mut self, ops: Vec<WarehouseOp>) -> Result<usize, SubcubeError> {
-        self.guard()?;
-        if ops.is_empty() {
-            return Ok(0);
-        }
-        let _span = sdr_obs::span("durable.apply_batch");
-        let before = self.mgr.view();
-        let mut encoded = Vec::with_capacity(ops.len());
-        for op in ops {
-            match self.apply_one(op) {
-                Ok(w) => encoded.push(w.encode()),
-                Err(e) => {
-                    // Undo the partially applied batch: nothing was
-                    // logged, so restoring the pre-batch version makes
-                    // the failure "as if never issued".
-                    // `durable.skip-rollback` is a model-only mutation:
-                    // leaving the half-applied batch published is exactly
-                    // the bug `specdr check group-commit` must catch.
-                    if !fail::point("durable.skip-rollback") {
-                        self.mgr.rollback_to(&before);
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        let n = encoded.len();
-        if fail::point("durable.wal-fail") {
-            self.broken = true;
-            return Err(SubcubeError::Storage(
-                "wal group append failed: injected fault".into(),
-            ));
-        }
-        if let Err(e) = self.wal.append_group(&encoded) {
-            self.broken = true;
-            return Err(SubcubeError::Storage(format!(
-                "wal group append failed: {e}"
-            )));
-        }
-        self.ops_in_log += n as u64;
-        if sdr_obs::enabled() {
+        let encoded: Vec<Vec<u8>> = ops.iter().map(WalOp::encode).collect();
+        let appended = if group {
+            self.wal.append_group(&encoded)
+        } else {
+            debug_assert_eq!(encoded.len(), 1, "a plain record carries one op");
+            self.wal.append(&encoded[0])
+        };
+        appended.map_err(|e| SubcubeError::Storage(format!("wal append failed: {e}")))?;
+        self.ops_in_log += ops.len() as u64;
+        if group && sdr_obs::enabled() {
             sdr_obs::inc("durable.group_commit.batches");
-            sdr_obs::add("durable.group_commit.ops", n as u64);
+            sdr_obs::add("durable.group_commit.ops", ops.len() as u64);
         }
-        Ok(n)
-    }
-
-    /// Durable [`SubcubeManager::bulk_load`]: on `Ok`, the facts survive
-    /// any subsequent crash.
-    pub fn bulk_load(&mut self, facts: &Mo) -> Result<usize, SubcubeError> {
-        self.guard()?;
-        let mut t = FactTable::from_mo(facts, sdr_storage::DEFAULT_SEGMENT_ROWS)
-            .map_err(|e| SubcubeError::Storage(e.to_string()))?;
-        let op = WalOp::BulkLoad(t.serialize().to_vec());
-        let n = self.mgr.bulk_load(facts)?;
-        self.log(&op)?;
-        Ok(n)
-    }
-
-    /// Durable [`SubcubeManager::sync`].
-    pub fn sync(&mut self, now: DayNum) -> Result<SyncStats, SubcubeError> {
-        self.guard()?;
-        let stats = self.mgr.sync(now)?;
-        self.log(&WalOp::Sync(now))?;
-        Ok(stats)
-    }
-
-    /// Durable [`SubcubeManager::age`]: one WAL record per aging call.
-    /// The tick loop inside `age` is deterministic given the spec, so a
-    /// crash mid-call recovers to the state before the call (the record
-    /// is appended only after the whole pass succeeds in memory), and a
-    /// durable record replays the full pass.
-    pub fn age(&mut self, until: DayNum) -> Result<AgeStats, SubcubeError> {
-        self.guard()?;
-        let stats = self.mgr.age(until)?;
-        self.log(&WalOp::Age(until))?;
-        Ok(stats)
-    }
-
-    /// Durable specification insert ([`SubcubeManager::evolve_insert`]).
-    pub fn spec_insert(&mut self, new: Vec<ActionSpec>) -> Result<Vec<ActionId>, SubcubeError> {
-        self.guard()?;
-        let schema = Arc::clone(self.mgr.schema());
-        let srcs: Vec<String> = new.iter().map(|a| a.render(&schema)).collect();
-        // The log must replay to the identical spec: reject actions whose
-        // rendering does not round-trip through the parser (none known).
-        for (src, a) in srcs.iter().zip(&new) {
-            let back = parse_action(&schema, src).map_err(ReduceError::Spec)?;
-            if back != *a {
-                return Err(SubcubeError::Storage(format!(
-                    "action does not round-trip through its rendering: {src}"
-                )));
-            }
-        }
-        let ids = self.mgr.evolve_insert(new)?;
-        self.log(&WalOp::SpecInsert(srcs))?;
-        Ok(ids)
-    }
-
-    /// Durable specification delete ([`SubcubeManager::evolve_delete`]).
-    pub fn spec_delete(&mut self, ids: &[ActionId], now: DayNum) -> Result<(), SubcubeError> {
-        self.guard()?;
-        self.mgr.evolve_delete(ids, now)?;
-        self.log(&WalOp::SpecDelete(ids.iter().map(|i| i.0).collect(), now))?;
         Ok(())
     }
 
     /// Folds the log into a new atomic checkpoint, rotates to a fresh
-    /// log, and sweeps the superseded epoch. Also the repair path after
-    /// a failed append. Returns the new epoch.
-    pub fn checkpoint(&mut self) -> Result<u64, SubcubeError> {
+    /// log, and sweeps the superseded epoch. `legacy` writes the format-2
+    /// layout (for the storage-migration tests only). Returns the new
+    /// epoch.
+    pub(crate) fn checkpoint(&mut self, legacy: bool) -> Result<u64, SubcubeError> {
+        let dir = self.layout.root();
         let next = self.epoch + 1;
-        let hwm = self.hwm + self.ops_in_log;
-        write_checkpoint(&self.mgr.view(), self.fs.as_ref(), &self.dir, next, hwm)?;
-        let wal = Wal::create(
-            Arc::clone(&self.fs),
-            WarehouseLayout::at(&self.dir).wal(next),
+        let hwm = self.ops_durable();
+        write_checkpoint_fmt(
+            &self.engine.view(),
+            self.fs.as_ref(),
+            dir,
             next,
-        )
-        .map_err(|e| SubcubeError::Storage(e.to_string()))?;
-        write_current(self.fs.as_ref(), &self.dir, next)?;
+            hwm,
+            legacy,
+        )?;
+        let wal = Wal::create(Arc::clone(&self.fs), self.layout.wal(next), next)
+            .map_err(|e| SubcubeError::Storage(e.to_string()))?;
+        write_current(self.fs.as_ref(), dir, next)?;
         self.wal = wal;
         self.epoch = next;
         self.hwm = hwm;
         self.ops_in_log = 0;
-        self.broken = false;
-        sweep_garbage(self.fs.as_ref(), &self.dir, next);
+        sweep_garbage(self.fs.as_ref(), dir, next);
         Ok(next)
     }
 }
-
-impl SubcubeManager {
-    /// Recovers a warehouse from `dir`: loads the latest valid
-    /// checkpoint (see [`crate::persist`]) and replays the write-ahead
-    /// log tail on top of it, dropping any torn/corrupt tail records
-    /// detected by CRC. Returns the manager plus a [`RecoveryReport`].
-    pub fn recover(
-        spec: DataReductionSpec,
-        dir: impl AsRef<Path>,
-    ) -> Result<(SubcubeManager, RecoveryReport), SubcubeError> {
-        let (w, report) = DurableWarehouse::recover_with_fs(spec, dir.as_ref(), RealFs::shared())?;
-        let mgr = Arc::into_inner(w.mgr).expect("recovery holds the only manager handle");
-        Ok((mgr, report))
-    }
-}
-
-/// Convenience re-export target: the manifest type callers see through
-/// recovery tooling.
-pub use crate::persist::Manifest;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::layout::wal_name;
+    use crate::ShardRouter;
     use sdr_mdm::calendar::days_from_civil;
+    use sdr_storage::RealFs;
     use sdr_workload::{paper_mo, ACTION_A1, ACTION_A2};
+    use std::path::PathBuf;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!(
@@ -701,7 +508,8 @@ mod tests {
         (mo, DataReductionSpec::new(schema, vec![a1, a2]).unwrap())
     }
 
-    fn rows(mo: &Mo) -> Vec<String> {
+    fn rows(w: &ShardRouter) -> Vec<String> {
+        let mo = w.view_set().to_mo().unwrap();
         let mut v: Vec<String> = mo.facts().map(|f| mo.render_fact(f)).collect();
         v.sort();
         v
@@ -712,7 +520,7 @@ mod tests {
         let (mo, _) = paper_spec();
         let mut t = FactTable::from_mo(&mo, 4).unwrap();
         let ops = vec![
-            WalOp::BulkLoad(t.serialize().to_vec()),
+            WalOp::BulkLoad(t.serialize()),
             WalOp::Sync(days_from_civil(2000, 6, 5)),
             WalOp::SpecInsert(vec![ACTION_A1.into(), ACTION_A2.into()]),
             WalOp::SpecDelete(vec![0, 3], days_from_civil(2001, 1, 1)),
@@ -731,20 +539,20 @@ mod tests {
     fn create_log_recover_equals_live() {
         let dir = tmpdir("clr");
         let (mo, spec) = paper_spec();
-        let mut w = DurableWarehouse::create(spec.clone(), &dir).unwrap();
+        let w = ShardRouter::create(spec.clone(), &dir, 1).unwrap();
         w.bulk_load(&mo).unwrap();
         w.sync(days_from_civil(2000, 6, 5)).unwrap();
         w.sync(days_from_civil(2000, 11, 5)).unwrap();
         assert_eq!(w.ops_durable(), 3);
-        let live = rows(&w.manager().to_mo().unwrap());
         // Recover without any checkpoint beyond epoch 0: pure replay.
-        let (rec, report) =
-            DurableWarehouse::recover_with_fs(spec, &dir, RealFs::shared()).unwrap();
+        let (rec, report) = ShardRouter::recover(spec, &dir).unwrap();
         assert_eq!(report.epoch, 0);
         assert_eq!(report.replayed, 3);
         assert_eq!(report.dropped_bytes, 0);
-        assert_eq!(rows(&rec.manager().to_mo().unwrap()), live);
-        assert_eq!(rec.manager().last_sync(), w.manager().last_sync());
+        assert_eq!(report.ops_durable, 3);
+        assert_eq!(rows(&rec), rows(&w));
+        assert_eq!(rec.last_sync(), w.last_sync());
+        assert_eq!(report.last_sync, w.last_sync());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -752,22 +560,21 @@ mod tests {
     fn checkpoint_rotates_and_recover_uses_it() {
         let dir = tmpdir("ckpt");
         let (mo, spec) = paper_spec();
-        let mut w = DurableWarehouse::create(spec.clone(), &dir).unwrap();
+        let w = ShardRouter::create(spec.clone(), &dir, 1).unwrap();
         w.bulk_load(&mo).unwrap();
         w.sync(days_from_civil(2000, 6, 5)).unwrap();
         assert_eq!(w.checkpoint().unwrap(), 1);
         // Post-checkpoint operations land in the fresh log.
         w.sync(days_from_civil(2000, 11, 5)).unwrap();
-        let live = rows(&w.manager().to_mo().unwrap());
-        let (rec, report) =
-            DurableWarehouse::recover_with_fs(spec, &dir, RealFs::shared()).unwrap();
+        let (rec, report) = ShardRouter::recover(spec, &dir).unwrap();
         assert_eq!(report.epoch, 1);
         assert_eq!(report.replayed, 1);
         assert_eq!(report.ops_durable, 3);
-        assert_eq!(rows(&rec.manager().to_mo().unwrap()), live);
+        assert_eq!(rows(&rec), rows(&w));
         // The superseded epoch was swept.
-        assert!(!dir.join(crate::persist::ckpt_name(0)).exists());
-        assert!(!dir.join(wal_name(0)).exists());
+        let shard = dir.join(crate::layout::shard_name(0));
+        assert!(!shard.join(crate::persist::ckpt_name(0)).exists());
+        assert!(!shard.join(wal_name(0)).exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -782,21 +589,19 @@ mod tests {
             DataReductionSpec::new(Arc::clone(&schema), vec![a1.clone(), a2.clone()]).unwrap();
         // Start from an *empty* spec; insert both actions through the log.
         let empty = DataReductionSpec::new(Arc::clone(&schema), vec![]).unwrap();
-        let mut w = DurableWarehouse::create(empty.clone(), &dir).unwrap();
+        let w = ShardRouter::create(empty.clone(), &dir, 1).unwrap();
         w.bulk_load(&mo).unwrap();
         let ids = w.spec_insert(vec![a1, a2]).unwrap();
         assert_eq!(ids.len(), 2);
-        assert_eq!(w.manager().n_cubes(), 3);
+        assert_eq!(w.view_set().views()[0].cubes().len(), 3);
         w.sync(days_from_civil(2000, 11, 5)).unwrap();
-        let live = rows(&w.manager().to_mo().unwrap());
         // Recovery replays the evolution from the initial (empty) spec.
-        let (rec, report) =
-            DurableWarehouse::recover_with_fs(empty, &dir, RealFs::shared()).unwrap();
+        let (rec, report) = ShardRouter::recover(empty, &dir).unwrap();
         assert_eq!(report.replayed, 3);
-        assert_eq!(rec.manager().n_cubes(), 3);
-        assert_eq!(rows(&rec.manager().to_mo().unwrap()), live);
+        assert_eq!(rec.view_set().views()[0].cubes().len(), 3);
+        assert_eq!(rows(&rec), rows(&w));
         assert_eq!(
-            crate::persist::spec_fingerprint(&rec.manager().spec()),
+            crate::persist::spec_fingerprint(&rec.spec()),
             crate::persist::spec_fingerprint(&spec)
         );
         std::fs::remove_dir_all(&dir).ok();
@@ -806,20 +611,19 @@ mod tests {
     fn torn_tail_is_dropped_on_recovery() {
         let dir = tmpdir("torn");
         let (mo, spec) = paper_spec();
-        let mut w = DurableWarehouse::create(spec.clone(), &dir).unwrap();
+        let w = ShardRouter::create(spec.clone(), &dir, 1).unwrap();
         w.bulk_load(&mo).unwrap();
         w.sync(days_from_civil(2000, 6, 5)).unwrap();
-        let committed = rows(&w.manager().to_mo().unwrap());
-        let wal_path = dir.join(wal_name(0));
+        let committed = rows(&w);
+        let wal_path = WarehouseLayout::at(&dir).shard(0).wal(0);
         // A later sync's record is torn to a garbage prefix on "crash".
         w.sync(days_from_civil(2000, 11, 5)).unwrap();
         let full = std::fs::read(&wal_path).unwrap();
         std::fs::write(&wal_path, &full[..full.len() - 5]).unwrap();
-        let (rec, report) =
-            DurableWarehouse::recover_with_fs(spec, &dir, RealFs::shared()).unwrap();
+        let (rec, report) = ShardRouter::recover(spec, &dir).unwrap();
         assert_eq!(report.replayed, 2);
         assert!(report.dropped_bytes > 0);
-        assert_eq!(rows(&rec.manager().to_mo().unwrap()), committed);
+        assert_eq!(rows(&rec), committed);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -827,7 +631,7 @@ mod tests {
     fn group_commit_batch_is_one_record_and_replays() {
         let dir = tmpdir("batch");
         let (mo, spec) = paper_spec();
-        let mut w = DurableWarehouse::create(spec.clone(), &dir).unwrap();
+        let w = ShardRouter::create(spec.clone(), &dir, 1).unwrap();
         let n = w
             .apply_batch(vec![
                 WarehouseOp::BulkLoad(mo.clone()),
@@ -837,16 +641,15 @@ mod tests {
             .unwrap();
         assert_eq!(n, 3);
         assert_eq!(w.ops_durable(), 3, "every batched op counts");
-        let live = rows(&w.manager().to_mo().unwrap());
         // On disk the batch is one frame.
-        let scan = sdr_storage::scan_wal(&RealFs, &dir.join(wal_name(0))).unwrap();
+        let wal_path = WarehouseLayout::at(&dir).shard(0).wal(0);
+        let scan = sdr_storage::scan_wal(&RealFs, &wal_path).unwrap();
         assert_eq!(scan.records.len(), 1);
         assert!(sdr_storage::is_group(&scan.records[0]));
-        let (rec, report) =
-            DurableWarehouse::recover_with_fs(spec, &dir, RealFs::shared()).unwrap();
+        let (rec, report) = ShardRouter::recover(spec, &dir).unwrap();
         assert_eq!(report.replayed, 3);
         assert_eq!(report.ops_durable, 3);
-        assert_eq!(rows(&rec.manager().to_mo().unwrap()), live);
+        assert_eq!(rows(&rec), rows(&w));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -854,31 +657,30 @@ mod tests {
     fn failed_batch_rolls_back_and_leaves_no_trace() {
         let dir = tmpdir("batchfail");
         let (mo, spec) = paper_spec();
-        let mut w = DurableWarehouse::create(spec.clone(), &dir).unwrap();
+        let w = ShardRouter::create(spec.clone(), &dir, 1).unwrap();
         w.bulk_load(&mo).unwrap();
-        let before = rows(&w.manager().to_mo().unwrap());
+        let before = rows(&w);
+        let epoch = w.view_set().epoch();
         // Second op fails in memory (deleting an unknown action id).
         let err = w.apply_batch(vec![
             WarehouseOp::Sync(days_from_civil(2000, 6, 5)),
             WarehouseOp::SpecDelete(vec![ActionId(999)], days_from_civil(2000, 6, 5)),
         ]);
         assert!(err.is_err());
-        assert!(!w.is_broken(), "a rolled-back batch does not poison");
+        assert!(!w.is_broken(), "a rolled-back batch does not wedge");
         assert_eq!(w.ops_durable(), 1, "only the bulk load is durable");
-        assert_eq!(
-            rows(&w.manager().to_mo().unwrap()),
-            before,
-            "memory state rolled back to the pre-batch snapshot"
-        );
-        assert_eq!(w.manager().last_sync(), None, "the sync was undone");
+        assert_eq!(w.view_set().epoch(), epoch, "nothing was published");
+        // The restored engine is what the next publish exposes.
+        w.bulk_load(&mo.empty_like()).unwrap();
+        assert_eq!(rows(&w), before, "engine restored to the pre-batch version");
+        assert_eq!(w.last_sync(), None, "the sync was undone");
         // Recovery agrees: the batch never happened.
-        let (rec, report) =
-            DurableWarehouse::recover_with_fs(spec, &dir, RealFs::shared()).unwrap();
-        assert_eq!(report.replayed, 1);
-        assert_eq!(rows(&rec.manager().to_mo().unwrap()), before);
-        // The repaired warehouse still accepts work.
+        let (rec, report) = ShardRouter::recover(spec, &dir).unwrap();
+        assert_eq!(report.replayed, 2);
+        assert_eq!(rows(&rec), before);
+        // The warehouse still accepts work.
         w.sync(days_from_civil(2000, 6, 5)).unwrap();
-        assert_eq!(w.ops_durable(), 2);
+        assert_eq!(w.ops_durable(), 3);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -886,10 +688,10 @@ mod tests {
     fn create_refuses_existing_warehouse() {
         let dir = tmpdir("dup");
         let (_, spec) = paper_spec();
-        let _w = DurableWarehouse::create(spec.clone(), &dir).unwrap();
-        assert!(DurableWarehouse::create(spec.clone(), &dir).is_err());
+        let _w = ShardRouter::create(spec.clone(), &dir, 1).unwrap();
+        assert!(ShardRouter::create(spec.clone(), &dir, 1).is_err());
         // open() takes the recovery path instead.
-        assert!(DurableWarehouse::open(spec, &dir).is_ok());
+        assert!(ShardRouter::open(spec, &dir, 1).is_ok());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

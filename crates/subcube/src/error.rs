@@ -4,7 +4,7 @@ use sdr_mdm::{DayNum, TimeValue};
 use sdr_query::QueryError;
 use sdr_reduce::ReduceError;
 
-/// Errors raised by the subcube manager.
+/// Errors raised by the warehouse.
 #[derive(Debug)]
 pub enum SubcubeError {
     /// An error from the reduction engine.

@@ -19,10 +19,10 @@ pub mod query;
 pub mod shard;
 pub mod stats;
 
-pub use durable::{DurableWarehouse, RecoveryReport, WalOp, WarehouseOp};
+pub use durable::{WalOp, WarehouseOp};
 pub use error::SubcubeError;
 pub use layout::WarehouseLayout;
-pub use manager::{AgeStats, CubeId, Subcube, SubcubeManager, SyncStats, WarehouseView};
+pub use manager::{AgeStats, CubeId, Subcube, SyncStats, WarehouseView};
 pub use persist::{read_manifest, Manifest};
 pub use query::CubeQuery;
 pub use shard::{ShardRecoveryReport, ShardRouter, ShardViewSet};
@@ -31,6 +31,7 @@ pub use stats::{DimColStats, SubcubeStats};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manager::SubcubeManager;
     use sdr_mdm::{calendar::days_from_civil, time_cat as tc, MeasureId, Mo};
     use sdr_query::{AggApproach, SelectMode};
     use sdr_reduce::{reduce, DataReductionSpec};
@@ -44,7 +45,7 @@ mod tests {
         let a1 = parse_action(&schema, ACTION_A1).unwrap();
         let a2 = parse_action(&schema, ACTION_A2).unwrap();
         let spec = DataReductionSpec::new(schema, vec![a1, a2]).unwrap();
-        let m = SubcubeManager::new(spec);
+        let mut m = SubcubeManager::new(spec);
         m.bulk_load(&mo).unwrap();
         (m, mo)
     }
@@ -65,7 +66,7 @@ mod tests {
         assert_eq!(v.cubes().len(), 3);
         assert_eq!(v.cubes()[0].grain, m.schema().bottom_granularity());
         // The DAG: bottom → month cube → quarter cube.
-        let d = m.describe();
+        let d = m.view().describe();
         assert!(d.contains("K1 (Time.month, URL.domain)"), "{d}");
         assert!(d.contains("K2 (Time.quarter, URL.domain)"), "{d}");
         assert_eq!(v.parents(CubeId(1)), &[CubeId(0)]);
@@ -75,11 +76,11 @@ mod tests {
 
     #[test]
     fn sync_matches_monolithic_reduce() {
-        let (m, mo) = manager_with_paper_data();
+        let (mut m, mo) = manager_with_paper_data();
         for t in sdr_workload::snapshot_days() {
             m.sync(t).unwrap();
-            let whole = m.to_mo().unwrap();
-            let expected = reduce(&mo, &m.spec(), t).unwrap();
+            let whole = m.view().to_mo().unwrap();
+            let expected = reduce(&mo, m.view().spec(), t).unwrap();
             let mut a: Vec<String> = whole.facts().map(|f| whole.render_fact(f)).collect();
             let mut b: Vec<String> = expected.facts().map(|f| expected.render_fact(f)).collect();
             a.sort();
@@ -90,7 +91,7 @@ mod tests {
 
     #[test]
     fn sync_stats_track_migrations() {
-        let (m, _) = manager_with_paper_data();
+        let (mut m, _) = manager_with_paper_data();
         let s1 = m.sync(days_from_civil(2000, 4, 5)).unwrap();
         assert_eq!(s1.migrated, 0);
         assert_eq!(s1.kept, 7);
@@ -100,14 +101,14 @@ mod tests {
         let s3 = m.sync(days_from_civil(2000, 11, 5)).unwrap();
         assert_eq!(s3.migrated, 5); // 3 month-level facts + facts 4,5
         assert_eq!(s3.merged, 2);
-        assert_eq!(m.len(), 4);
+        assert_eq!(m.view().len(), 4);
     }
 
     #[test]
     fn figure8_query_over_synchronized_cubes() {
         // Q = α[month, domain_grp](σ[1999/6 < month ≤ 2000/5](O)) — the
         // shape of Figure 8's query, on the paper data at 2000/11/5.
-        let (m, _) = manager_with_paper_data();
+        let (mut m, _) = manager_with_paper_data();
         let now = days_from_civil(2000, 11, 5);
         m.sync(now).unwrap();
         let grp = m
@@ -125,7 +126,7 @@ mod tests {
             approach: AggApproach::Availability,
         };
         for parallel in [false, true] {
-            let r = m.query(&q, now, parallel).unwrap();
+            let r = m.view().query(&q, now, parallel).unwrap();
             let rendered: Vec<String> = r.facts().map(|f| r.render_fact(f)).collect();
             // The 1999Q4 facts (liberal: might be in range) stay at
             // quarter level and merge across domains: 689+2489 dwell.
@@ -145,16 +146,16 @@ mod tests {
         // against the query on a fully synced clone (Figure 9's strategy
         // must hide staleness).
         let now = days_from_civil(2000, 11, 5);
-        let (stale, mo) = manager_with_paper_data();
+        let (mut stale, mo) = manager_with_paper_data();
         // Partially sync: only to an earlier time, so cubes are stale
         // relative to `now`.
         stale.sync(days_from_civil(2000, 6, 5)).unwrap();
-        let fresh = {
+        let mut fresh = {
             let schema = Arc::clone(mo.schema());
             let a1 = parse_action(&schema, ACTION_A1).unwrap();
             let a2 = parse_action(&schema, ACTION_A2).unwrap();
             let spec = DataReductionSpec::new(schema, vec![a1, a2]).unwrap();
-            let m = SubcubeManager::new(spec);
+            let mut m = SubcubeManager::new(spec);
             m.bulk_load(&mo).unwrap();
             m
         };
@@ -167,8 +168,8 @@ mod tests {
             approach: AggApproach::Availability,
         };
         for parallel in [false, true] {
-            let a = stale.query_unsync(&q, now, parallel).unwrap();
-            let b = fresh.query(&q, now, parallel).unwrap();
+            let a = stale.view().query_unsync(&q, now, parallel).unwrap();
+            let b = fresh.view().query(&q, now, parallel).unwrap();
             let mut ra: Vec<String> = a.facts().map(|f| a.render_fact(f)).collect();
             let mut rb: Vec<String> = b.facts().map(|f| b.render_fact(f)).collect();
             ra.sort();
@@ -190,9 +191,9 @@ mod tests {
             levels: vec![tc::YEAR, domain],
             approach: AggApproach::Availability,
         };
-        let r = m.query_unsync(&q, now, false).unwrap();
+        let r = m.view().query_unsync(&q, now, false).unwrap();
         let expected = sdr_query::aggregate_ids(
-            &reduce(&mo, &m.spec(), now).unwrap(),
+            &reduce(&mo, m.view().spec(), now).unwrap(),
             &[tc::YEAR, domain],
             AggApproach::Availability,
         )
@@ -206,10 +207,10 @@ mod tests {
 
     #[test]
     fn measures_conserved_through_sync() {
-        let (m, mo) = manager_with_paper_data();
+        let (mut m, mo) = manager_with_paper_data();
         for t in sdr_workload::snapshot_days() {
             m.sync(t).unwrap();
-            let whole = m.to_mo().unwrap();
+            let whole = m.view().to_mo().unwrap();
             for j in 0..mo.schema().n_measures() {
                 let mid = MeasureId(j as u16);
                 let before: i64 = mo.facts().map(|f| mo.measure(f, mid)).sum();
@@ -221,11 +222,23 @@ mod tests {
 
     #[test]
     fn storage_stats_shrink_with_reduction() {
-        let (m, _) = manager_with_paper_data();
+        let (mut m, _) = manager_with_paper_data();
         m.sync(days_from_civil(2000, 4, 5)).unwrap();
-        let before: usize = m.storage_stats().unwrap().iter().map(|(_, s)| s.rows).sum();
+        let before: usize = m
+            .view()
+            .storage_stats()
+            .unwrap()
+            .iter()
+            .map(|(_, s)| s.rows)
+            .sum();
         m.sync(days_from_civil(2000, 11, 5)).unwrap();
-        let after: usize = m.storage_stats().unwrap().iter().map(|(_, s)| s.rows).sum();
+        let after: usize = m
+            .view()
+            .storage_stats()
+            .unwrap()
+            .iter()
+            .map(|(_, s)| s.rows)
+            .sum();
         assert!(after < before);
     }
 
@@ -233,7 +246,7 @@ mod tests {
     fn incremental_loads_between_syncs() {
         // Figure 7's scenario shape: load, sync, more data arrives, sync
         // again; totals stay consistent with monolithic reduction.
-        let (m, mo) = manager_with_paper_data();
+        let (mut m, mo) = manager_with_paper_data();
         m.sync(days_from_civil(2000, 6, 5)).unwrap();
         // New click arrives (bottom granularity).
         let mut newbie = Mo::new(Arc::clone(mo.schema()));
@@ -257,8 +270,8 @@ mod tests {
         m.sync(now).unwrap();
         let mut all = mo.clone();
         all.absorb(&newbie).unwrap();
-        let expected = reduce(&all, &m.spec(), now).unwrap();
-        let whole = m.to_mo().unwrap();
+        let expected = reduce(&all, m.view().spec(), now).unwrap();
+        let whole = m.view().to_mo().unwrap();
         let mut ra: Vec<String> = whole.facts().map(|f| whole.render_fact(f)).collect();
         let mut rb: Vec<String> = expected.facts().map(|f| expected.render_fact(f)).collect();
         ra.sort();
@@ -269,7 +282,7 @@ mod tests {
 
 #[cfg(test)]
 mod scheduler_tests {
-    use super::*;
+    use crate::manager::SubcubeManager;
     use sdr_mdm::calendar::days_from_civil;
     use sdr_reduce::DataReductionSpec;
     use sdr_spec::parse_action;
@@ -287,12 +300,14 @@ mod scheduler_tests {
         // a1's bounds are month-granular: from mid-June the next step is
         // July 1st.
         let due = m
+            .view()
             .next_sync_due(days_from_civil(2000, 6, 15))
             .unwrap()
             .unwrap();
         assert_eq!(sdr_mdm::calendar::civil_from_days(due), (2000, 7, 1));
         // From the very end of the horizon nothing remains.
         assert!(m
+            .view()
             .next_sync_due(days_from_civil(2002, 12, 30))
             .unwrap()
             .is_none());
@@ -305,21 +320,21 @@ mod scheduler_tests {
         let a1 = parse_action(&schema, ACTION_A1).unwrap();
         let a2 = parse_action(&schema, ACTION_A2).unwrap();
         let spec = DataReductionSpec::new(schema, vec![a1, a2]).unwrap();
-        let m = SubcubeManager::new(spec);
+        let mut m = SubcubeManager::new(spec);
         // Fresh manager always wants a first sync.
-        assert!(m.needs_sync(days_from_civil(2000, 6, 5)).unwrap());
+        assert!(m.view().needs_sync(days_from_civil(2000, 6, 5)).unwrap());
         m.bulk_load(&mo).unwrap();
         m.sync(days_from_civil(2000, 6, 5)).unwrap();
         // Same month, later day: nothing stepped.
-        assert!(!m.needs_sync(days_from_civil(2000, 6, 20)).unwrap());
+        assert!(!m.view().needs_sync(days_from_civil(2000, 6, 20)).unwrap());
         // Crossing into July: a1's window moved.
-        assert!(m.needs_sync(days_from_civil(2000, 7, 2)).unwrap());
+        assert!(m.view().needs_sync(days_from_civil(2000, 7, 2)).unwrap());
         // A bulk load dirties the manager even without time passing.
         let (more, _) = paper_mo();
         m.bulk_load(&more).unwrap();
-        assert!(m.needs_sync(days_from_civil(2000, 6, 6)).unwrap());
+        assert!(m.view().needs_sync(days_from_civil(2000, 6, 6)).unwrap());
         // And the no-work sync path still reports all facts as kept.
-        let before = m.len();
+        let before = m.view().len();
         let stats = m.sync(days_from_civil(2000, 6, 6)).unwrap();
         assert_eq!(stats.kept + stats.migrated, before);
     }
@@ -328,6 +343,7 @@ mod scheduler_tests {
 #[cfg(test)]
 mod aging_tests {
     use super::*;
+    use crate::manager::SubcubeManager;
     use sdr_mdm::calendar::days_from_civil;
     use sdr_mdm::Mo;
     use sdr_reduce::DataReductionSpec;
@@ -342,7 +358,7 @@ mod aging_tests {
             let a1 = parse_action(&schema, ACTION_A1).unwrap();
             let a2 = parse_action(&schema, ACTION_A2).unwrap();
             let spec = DataReductionSpec::new(schema, vec![a1, a2]).unwrap();
-            let m = SubcubeManager::new(spec);
+            let mut m = SubcubeManager::new(spec);
             m.bulk_load(&mo).unwrap();
             m
         };
@@ -350,7 +366,7 @@ mod aging_tests {
     }
 
     fn digest(m: &SubcubeManager) -> Vec<String> {
-        let whole = m.to_mo().unwrap();
+        let whole = m.view().to_mo().unwrap();
         let mut r: Vec<String> = whole.facts().map(|f| whole.render_fact(f)).collect();
         r.sort();
         r
@@ -361,7 +377,7 @@ mod aging_tests {
         // The continuous-aging guarantee on the paper's data: after the
         // first baseline pass, every incremental `age` lands on exactly
         // the state a from-scratch `sync` produces.
-        let (aged, _, mo) = paper_managers();
+        let (mut aged, _, mo) = paper_managers();
         for t in sdr_workload::snapshot_days() {
             aged.age(t).unwrap();
             let fresh = {
@@ -369,7 +385,7 @@ mod aging_tests {
                 let a1 = parse_action(&schema, ACTION_A1).unwrap();
                 let a2 = parse_action(&schema, ACTION_A2).unwrap();
                 let spec = DataReductionSpec::new(schema, vec![a1, a2]).unwrap();
-                let m = SubcubeManager::new(spec);
+                let mut m = SubcubeManager::new(spec);
                 m.bulk_load(&mo).unwrap();
                 m.sync(t).unwrap();
                 m
@@ -382,7 +398,7 @@ mod aging_tests {
     fn one_jump_equals_many_ticks() {
         // Aging straight to the horizon must equal aging through every
         // intermediate snapshot day (substep composition).
-        let (jump, steps, _) = paper_managers();
+        let (mut jump, mut steps, _) = paper_managers();
         let days = sdr_workload::snapshot_days();
         let last = *days.last().unwrap();
         jump.age(last).unwrap();
@@ -394,7 +410,7 @@ mod aging_tests {
 
     #[test]
     fn age_skips_untouched_cubes_and_counts_ticks() {
-        let (m, _, _) = paper_managers();
+        let (mut m, _, _) = paper_managers();
         // Baseline pass (dirty manager): a single full sync tick.
         let s0 = m.age(days_from_civil(2000, 4, 5)).unwrap();
         assert_eq!(s0.ticks, 1);
@@ -404,12 +420,16 @@ mod aging_tests {
         assert!(s1.ticks > 1, "expected multiple transition ticks: {s1:?}");
         assert!(s1.cubes_skipped > 0, "expected pruned cubes: {s1:?}");
         assert!(s1.cells_delta > 0, "expected migrated cells: {s1:?}");
-        assert_eq!(m.len(), 4, "final state matches the paper's Figure 7");
+        assert_eq!(
+            m.view().len(),
+            4,
+            "final state matches the paper's Figure 7"
+        );
     }
 
     #[test]
     fn age_rejects_backward_target() {
-        let (m, _, _) = paper_managers();
+        let (mut m, _, _) = paper_managers();
         m.age(days_from_civil(2000, 11, 5)).unwrap();
         let err = m.age(days_from_civil(2000, 6, 5)).unwrap_err();
         match err {
@@ -428,7 +448,7 @@ mod aging_tests {
     fn age_after_bulk_load_rebaselines() {
         // New facts dirty the manager; the next age falls back to one
         // full pass and the differential guarantee still holds.
-        let (m, _, mo) = paper_managers();
+        let (mut m, _, mo) = paper_managers();
         m.age(days_from_civil(2000, 6, 5)).unwrap();
         let (more, _) = paper_mo();
         m.bulk_load(&more).unwrap();
@@ -439,7 +459,7 @@ mod aging_tests {
             let a1 = parse_action(&schema, ACTION_A1).unwrap();
             let a2 = parse_action(&schema, ACTION_A2).unwrap();
             let spec = DataReductionSpec::new(schema, vec![a1, a2]).unwrap();
-            let f = SubcubeManager::new(spec);
+            let mut f = SubcubeManager::new(spec);
             f.bulk_load(&mo).unwrap();
             f.bulk_load(&more).unwrap();
             f.sync(now).unwrap();

@@ -1,4 +1,4 @@
-//! The subcube manager (Section 7), snapshot-isolated.
+//! The subcube engine (Section 7): one shard's epoch-versioned cubes.
 //!
 //! The implementation strategy of the paper: the logical MO is stored as a
 //! set of physical *subcubes*, one per distinct target granularity of the
@@ -10,25 +10,22 @@
 //!
 //! # Epoch-versioned snapshots
 //!
-//! Warehouse state is **immutable once published**: the manager holds one
-//! [`Arc`] to the current version (spec, cube contents, DAG, sync
-//! watermarks) and every mutator — [`bulk_load`](SubcubeManager::bulk_load),
-//! [`sync`](SubcubeManager::sync), the spec evolutions — builds its
-//! successor off to the side from a frozen snapshot and publishes it with
-//! a single pointer swap under a momentary write lock. Readers acquire a
-//! [`WarehouseView`] (an `Arc` clone) and evaluate against it for as long
-//! as they like: they never block behind an in-flight reduction and can
-//! never observe a half-applied one. Each version carries a monotonically
-//! increasing epoch, and each subcube remembers the epoch at which its
-//! facts last changed plus the day it was last synchronized to — together
-//! the *version vector* that makes Section 7's "query the un-synchronized
-//! state" an explicit, testable mode instead of an accident of lock
-//! timing.
+//! Warehouse state is **immutable once built**: the engine holds one
+//! [`Arc`] to its current version (spec, cube contents, DAG, sync
+//! watermarks) and every mutator builds the successor off to the side
+//! from that version. The engine has no locks of its own: it is owned by
+//! [`ShardRouter`](crate::ShardRouter), whose one writer lock serializes
+//! every mutator and whose one pointer swap publishes the new versions
+//! of all shards together. Readers hold a [`WarehouseView`] (an `Arc`
+//! clone) for as long as they like: they never block behind an in-flight
+//! reduction and can never observe a half-applied one. Each version
+//! carries a monotonically increasing epoch, and each subcube remembers
+//! the epoch at which its facts last changed plus the day it was last
+//! synchronized to — together the *version vector* that makes Section
+//! 7's "query the un-synchronized state" an explicit, testable mode.
 
 use std::collections::HashMap;
 use std::sync::Arc;
-
-use sdr_sync::{fail, Mutex, Swap};
 
 use sdr_mdm::{
     CatId, DayNum, DimValue, Dimension, FactId, Granularity, Mo, Schema, TimeValue, ORIGIN_USER,
@@ -39,7 +36,7 @@ use sdr_spec::{ActionId, ActionSpec};
 use crate::error::SubcubeError;
 use crate::stats::SubcubeStats;
 
-/// Identifies a subcube within a manager. Cube `0` is always the
+/// Identifies a subcube within a shard. Cube `0` is always the
 /// bottom-granularity cube.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CubeId(pub usize);
@@ -89,7 +86,7 @@ impl Subcube {
     /// Replaces the cube's fact snapshot and recomputes its statistics;
     /// the only way cube data changes, so stats can never drift. A
     /// carried-forward publish (same `Arc`, e.g. an untouched cube in an
-    /// [`age`](SubcubeManager::age) tick) keeps the existing stats *and*
+    /// aging tick) keeps the existing stats *and*
     /// replacement epoch — the facts did not change, so both are still
     /// exact and a zone-map rescan would only reproduce them.
     pub(crate) fn set_data(&mut self, data: Arc<Mo>, epoch: u64) {
@@ -124,8 +121,8 @@ pub struct SyncStats {
     pub merged: usize,
 }
 
-/// Statistics from one [`SubcubeManager::age`] call, accumulated over
-/// every tick it applied.
+/// Statistics from one [`ShardRouter::age`](crate::ShardRouter::age)
+/// call, accumulated over every tick it applied.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AgeStats {
     /// Transition-day ticks applied (each published atomically).
@@ -221,9 +218,9 @@ fn layout(spec: &DataReductionSpec, epoch: u64) -> (Vec<Subcube>, Vec<Vec<CubeId
     (cubes, parents)
 }
 
-/// A consistent, immutable read view of the whole warehouse: one
-/// published version, held alive for as long as the view exists. Acquired
-/// with [`SubcubeManager::view`]; cheap to clone and [`Send`], so it can
+/// A consistent, immutable read view of one shard: one published
+/// version, held alive for as long as the view exists. Acquired through
+/// [`ShardViewSet::views`](crate::ShardViewSet::views); cheap to clone and [`Send`], so it can
 /// be handed to worker threads outright. All read-side accessors — cube
 /// contents, the parent DAG, the spec, the sync watermarks — answer from
 /// the same version, which is what makes multi-step query evaluation
@@ -444,32 +441,23 @@ impl WarehouseView {
     }
 }
 
-/// The subcube manager: the physical MO of Section 7, published as
-/// epoch-versioned immutable snapshots.
-///
-/// All mutators take `&self` (they serialize on an internal writer lock
-/// and publish a successor version), so a manager can be shared across
-/// threads as `Arc<SubcubeManager>` with readers querying concurrently —
-/// the closed-loop concurrency driver and the torn-read stress suite do
-/// exactly that.
-pub struct SubcubeManager {
+/// The subcube engine of one shard: the physical MO of Section 7 as a
+/// chain of immutable versions. Mutators take `&mut self` and run under
+/// the router's writer lock; the router publishes the resulting
+/// [`view`](SubcubeManager::view)s.
+pub(crate) struct SubcubeManager {
     schema: Arc<Schema>,
-    /// The current published version. Readers clone the `Arc` with one
-    /// atomic pointer load; the only write-side critical section is the
-    /// pointer swap in [`publish`](SubcubeManager::publish). `sdr-check`
-    /// model-checks this publish/acquire pair exhaustively.
-    current: Swap<VersionInner>,
-    /// Serializes mutators so each builds its successor from the latest
-    /// published version.
-    writer: Mutex<()>,
+    /// The latest version. Readers only ever see it through the
+    /// router's published view set.
+    current: Arc<VersionInner>,
     /// The reduction schedule of the current spec, built lazily on the
     /// first [`age`](SubcubeManager::age) and keyed by spec identity
-    /// (`Arc` pointer) so spec evolution invalidates it.
-    schedule: Mutex<Option<(usize, Arc<ReductionSchedule>)>>,
+    /// (the cache holds the spec `Arc`, so the key cannot be reused).
+    schedule: Option<(Arc<DataReductionSpec>, Arc<ReductionSchedule>)>,
     /// Per-cube time footprints (`min_day..=max_day` over the cube's
     /// facts), keyed by `(cube index, cube epoch)` so a rebuilt cube
     /// recomputes. `None` = footprint unbounded (a `⊤` time value).
-    footprints: Mutex<FootprintCache>,
+    footprints: FootprintCache,
 }
 
 /// Cached day footprints: `(cube index, cube epoch)` → `min..=max` day
@@ -479,78 +467,47 @@ type FootprintCache = HashMap<(usize, u64), Option<(DayNum, DayNum)>>;
 impl SubcubeManager {
     /// Builds the cube set for a validated specification: one cube per
     /// distinct action granularity plus the bottom cube.
-    pub fn new(spec: DataReductionSpec) -> Self {
+    pub(crate) fn new(spec: DataReductionSpec) -> Self {
         let schema = Arc::clone(spec.schema());
         let (cubes, parents) = layout(&spec, 0);
         SubcubeManager {
             schema,
-            current: Swap::new(Arc::new(VersionInner {
+            current: Arc::new(VersionInner {
                 epoch: 0,
                 spec: Arc::new(spec),
                 cubes,
                 parents,
                 last_sync: None,
                 dirty: false,
-            })),
-            writer: Mutex::new(()),
-            schedule: Mutex::new(None),
-            footprints: Mutex::new(HashMap::new()),
+            }),
+            schedule: None,
+            footprints: HashMap::new(),
         }
     }
 
     /// The schema.
-    pub fn schema(&self) -> &Arc<Schema> {
+    pub(crate) fn schema(&self) -> &Arc<Schema> {
         &self.schema
     }
 
-    /// Acquires a consistent read view of the current version. The view
-    /// pins the version: it stays fully readable (and immutable) no
-    /// matter how many reductions publish after it.
-    pub fn view(&self) -> WarehouseView {
+    /// A read view of the latest version.
+    pub(crate) fn view(&self) -> WarehouseView {
         WarehouseView {
-            v: self.current.load(),
+            v: Arc::clone(&self.current),
         }
     }
 
-    /// The specification driving the cubes (of the current version).
-    pub fn spec(&self) -> Arc<DataReductionSpec> {
-        Arc::clone(&self.current.load().spec)
+    /// Restores a version saved before a failed batch: the batch is then
+    /// as if never issued. Footprints cached since may describe cubes of
+    /// the discarded versions at reused epochs, so they go too.
+    pub(crate) fn restore(&mut self, saved: WarehouseView) {
+        self.current = saved.v;
+        self.footprints.clear();
     }
 
-    /// The current published epoch.
-    pub fn epoch(&self) -> u64 {
-        self.current.load().epoch
-    }
-
-    /// Number of subcubes in the current version.
-    pub fn n_cubes(&self) -> usize {
-        self.current.load().cubes.len()
-    }
-
-    /// The last day the cubes were synchronized to.
-    pub fn last_sync(&self) -> Option<DayNum> {
-        self.current.load().last_sync
-    }
-
-    /// Total number of facts across all cubes (of the current version).
-    pub fn len(&self) -> usize {
-        self.view().len()
-    }
-
-    /// True when no cube holds facts.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Publishes `next` as the current version: the single pointer swap
-    /// every reader observes atomically.
-    fn publish(&self, next: VersionInner) {
-        let epoch = next.epoch;
-        self.current.store(Arc::new(next));
-        if sdr_obs::enabled() {
-            sdr_obs::inc("subcube.publish.count");
-            sdr_obs::gauge_set("subcube.epoch", epoch as i64);
-        }
+    /// Makes `next` the latest version.
+    fn advance(&mut self, next: VersionInner) {
+        self.current = Arc::new(next);
     }
 
     /// Bulk-loads new bottom-granularity facts into the bottom cube
@@ -559,7 +516,7 @@ impl SubcubeManager {
     /// facts that immediately satisfy an action. Only the bottom cube's
     /// snapshot is replaced; all other cubes keep their `Arc` (and their
     /// version-vector entry).
-    pub fn bulk_load(&self, facts: &Mo) -> Result<usize, SubcubeError> {
+    pub(crate) fn bulk_load(&mut self, facts: &Mo) -> Result<usize, SubcubeError> {
         if facts.schema().fact_type != self.schema.fact_type {
             return Err(SubcubeError::Reduce(ReduceError::Model(
                 sdr_mdm::MdmError::SchemaMismatch("bulk load schema".into()),
@@ -567,17 +524,13 @@ impl SubcubeManager {
         }
         let _span = sdr_obs::span("subcube.bulk_load");
         sdr_obs::attr("rows_in", facts.len());
-        // `mgr.publish-unlocked` is a model-only mutation: skipping the
-        // writer lock lets `specdr check` prove the single-writer
-        // serialization is load-bearing (two loads race, one is lost).
-        let _w = (!fail::point("mgr.publish-unlocked")).then(|| self.writer.lock());
-        let cur = self.current.load();
+        let cur = Arc::clone(&self.current);
         let mut bottom = (*cur.cubes[0].data).clone();
         bottom.absorb(facts).map_err(ReduceError::Model)?;
         let epoch = cur.epoch + 1;
         let mut cubes = cur.cubes.clone();
         cubes[0].set_data(Arc::new(bottom), epoch);
-        self.publish(VersionInner {
+        self.advance(VersionInner {
             epoch,
             spec: Arc::clone(&cur.spec),
             cubes,
@@ -590,20 +543,6 @@ impl SubcubeManager {
         Ok(facts.len())
     }
 
-    /// The home cube of a cell at time `now` (on the current version).
-    pub fn home_cube(
-        &self,
-        coords: &[DimValue],
-        now: DayNum,
-    ) -> Result<(CubeId, Vec<DimValue>), SubcubeError> {
-        self.view().home_cube(coords, now)
-    }
-
-    /// [`WarehouseView::needs_sync`] on the current version.
-    pub fn needs_sync(&self, now: DayNum) -> Result<bool, SubcubeError> {
-        self.view().needs_sync(now)
-    }
-
     /// Synchronizes all cubes to time `now` (Section 7.2): facts whose
     /// home cube changed are aggregated to the target granularity and
     /// moved; each cube is then re-aggregated once so multi-parent inflows
@@ -613,18 +552,16 @@ impl SubcubeManager {
     /// never see a half-migrated state. A cheap
     /// [`needs_sync`](WarehouseView::needs_sync) pre-check skips the scan
     /// entirely when nothing can have changed.
-    pub fn sync(&self, now: DayNum) -> Result<SyncStats, SubcubeError> {
+    pub(crate) fn sync(&mut self, now: DayNum) -> Result<SyncStats, SubcubeError> {
         let _span = sdr_obs::span("subcube.sync");
-        // See bulk_load: model-only mutation hook for `specdr check`.
-        let _w = (!fail::point("mgr.publish-unlocked")).then(|| self.writer.lock());
-        let cur = self.current.load();
+        let cur = Arc::clone(&self.current);
         let frozen = WarehouseView {
             v: Arc::clone(&cur),
         };
         if !frozen.needs_sync(now)? {
             // Nothing can move: publish only the advanced watermark.
             let kept = frozen.len();
-            self.publish_watermark(&cur, now);
+            self.advance_watermark(&cur, now);
             sdr_obs::inc("subcube.sync.skipped");
             return Ok(SyncStats {
                 kept,
@@ -634,16 +571,16 @@ impl SubcubeManager {
         self.sync_pass(&cur, now)
     }
 
-    /// Publishes a successor that only advances the sync watermark to
+    /// Advances to a successor that only moves the sync watermark to
     /// `now`: cube contents (and their version-vector entries) are
-    /// untouched. Caller holds the writer lock.
-    fn publish_watermark(&self, cur: &Arc<VersionInner>, now: DayNum) {
+    /// untouched.
+    fn advance_watermark(&mut self, cur: &Arc<VersionInner>, now: DayNum) {
         let epoch = cur.epoch + 1;
         let mut cubes = cur.cubes.clone();
         for c in &mut cubes {
             c.synced_to = Some(now);
         }
-        self.publish(VersionInner {
+        self.advance(VersionInner {
             epoch,
             spec: Arc::clone(&cur.spec),
             cubes,
@@ -655,9 +592,12 @@ impl SubcubeManager {
 
     /// The full scan-and-rebuild synchronization pass (no `needs_sync`
     /// pre-check): every fact of every cube is re-homed at `now` and
-    /// every cube is rebuilt. Caller holds the writer lock; `cur` must be
-    /// the latest published version.
-    fn sync_pass(&self, cur: &Arc<VersionInner>, now: DayNum) -> Result<SyncStats, SubcubeError> {
+    /// every cube is rebuilt. `cur` must be the latest version.
+    fn sync_pass(
+        &mut self,
+        cur: &Arc<VersionInner>,
+        now: DayNum,
+    ) -> Result<SyncStats, SubcubeError> {
         let frozen = WarehouseView { v: Arc::clone(cur) };
         let obs_on = sdr_obs::enabled();
         let scan_span = sdr_obs::span("subcube.sync.scan");
@@ -731,7 +671,7 @@ impl SubcubeManager {
             cubes[ci].synced_to = Some(now);
         }
         stats.merged = before.saturating_sub(after);
-        self.publish(VersionInner {
+        self.advance(VersionInner {
             epoch,
             spec: Arc::clone(&cur.spec),
             cubes,
@@ -781,10 +721,9 @@ impl SubcubeManager {
     /// incremental baseline. `until` earlier than the current watermark
     /// is rejected with [`SubcubeError::AgeBeforeWatermark`] — aging is
     /// monotone.
-    pub fn age(&self, until: DayNum) -> Result<AgeStats, SubcubeError> {
+    pub(crate) fn age(&mut self, until: DayNum) -> Result<AgeStats, SubcubeError> {
         let _span = sdr_obs::span("subcube.age");
-        let _w = self.writer.lock();
-        let mut cur = self.current.load();
+        let mut cur = Arc::clone(&self.current);
         if let Some(last) = cur.last_sync {
             if until < last {
                 return Err(SubcubeError::AgeBeforeWatermark {
@@ -798,7 +737,7 @@ impl SubcubeManager {
             // New rows (or a fresh warehouse) have no incremental
             // baseline: home everything with one full pass.
             let s = self.sync_pass(&cur, until)?;
-            cur = self.current.load();
+            cur = Arc::clone(&self.current);
             stats.ticks = 1;
             stats.cells_delta = s.migrated;
             stats.merged = s.merged;
@@ -811,13 +750,13 @@ impl SubcubeManager {
             for t in sched.transitions_between(last, until) {
                 stats.absorb(self.age_tick(&cur, &sched, prev, t)?);
                 prev = t;
-                cur = self.current.load();
+                cur = Arc::clone(&self.current);
             }
             if cur.last_sync != Some(until) {
                 // No transition lands exactly on `until`: advance the
                 // watermark (contents at `until` equal those at the last
                 // transition — the schedule proves nothing moves between).
-                self.publish_watermark(&cur, until);
+                self.advance_watermark(&cur, until);
             }
         }
         self.prune_footprints();
@@ -826,7 +765,7 @@ impl SubcubeManager {
             sdr_obs::add("age.cells_delta", stats.cells_delta as u64);
             sdr_obs::add("age.cubes_skipped", stats.cubes_skipped as u64);
             sdr_obs::attr("ticks", stats.ticks);
-            sdr_obs::attr("rows_out", self.len());
+            sdr_obs::attr("rows_out", self.view().len());
             sdr_obs::event(
                 "subcube.age",
                 format!(
@@ -845,7 +784,7 @@ impl SubcubeManager {
     /// Cubes whose time footprint misses every Δ window are skipped
     /// without scanning a row.
     fn age_tick(
-        &self,
+        &mut self,
         cur: &Arc<VersionInner>,
         sched: &ReductionSchedule,
         t_prev: DayNum,
@@ -863,7 +802,7 @@ impl SubcubeManager {
             // A conservative schedule may list a day where no grounding
             // actually changed: watermark bump only.
             stats.cubes_skipped = n;
-            self.publish_watermark(cur, t);
+            self.advance_watermark(cur, t);
             return Ok(stats);
         };
         let windows = sched.delta_time_windows(&schema, t_prev, t);
@@ -934,7 +873,7 @@ impl SubcubeManager {
         stats.cells_delta = moves.len();
         if moves.is_empty() {
             stats.cubes_skipped = n;
-            self.publish_watermark(cur, t);
+            self.advance_watermark(cur, t);
             if obs_on {
                 sdr_obs::attr("day", t);
                 sdr_obs::attr("rows_in", scanned);
@@ -1010,7 +949,7 @@ impl SubcubeManager {
             cubes[ci].synced_to = Some(t);
         }
         stats.merged = before.saturating_sub(after);
-        self.publish(VersionInner {
+        self.advance(VersionInner {
             epoch,
             spec: Arc::clone(&cur.spec),
             cubes,
@@ -1040,29 +979,27 @@ impl SubcubeManager {
     /// The cached [`ReductionSchedule`] of `spec`, rebuilt when the spec
     /// instance changes (evolution publishes a new `Arc`).
     pub(crate) fn schedule_for(
-        &self,
+        &mut self,
         spec: &Arc<DataReductionSpec>,
     ) -> Result<Arc<ReductionSchedule>, SubcubeError> {
-        let key = Arc::as_ptr(spec) as usize;
-        let mut cache = self.schedule.lock();
-        if let Some((k, s)) = cache.as_ref() {
-            if *k == key {
+        if let Some((k, s)) = &self.schedule {
+            if Arc::ptr_eq(k, spec) {
                 return Ok(Arc::clone(s));
             }
         }
         let _span = sdr_obs::span("subcube.age.schedule");
         let sched = Arc::new(ReductionSchedule::build(spec)?);
         sdr_obs::attr("transition_days", sched.transition_days().len());
-        *cache = Some((key, Arc::clone(&sched)));
+        self.schedule = Some((Arc::clone(spec), Arc::clone(&sched)));
         Ok(sched)
     }
 
     /// The inclusive day footprint of cube `ci`'s facts, cached by
     /// `(index, epoch)`. `None` = unbounded (no time dimension, or a `⊤`
     /// time value) — the cube can never be pruned.
-    fn footprint(&self, ci: usize, cube: &Subcube) -> Option<(DayNum, DayNum)> {
+    fn footprint(&mut self, ci: usize, cube: &Subcube) -> Option<(DayNum, DayNum)> {
         let key = (ci, cube.epoch());
-        if let Some(fp) = self.footprints.lock().get(&key) {
+        if let Some(fp) = self.footprints.get(&key) {
             return *fp;
         }
         let ti = self.schema.dims.iter().position(Dimension::is_time);
@@ -1079,15 +1016,14 @@ impl SubcubeManager {
             }
             Some((lo, hi))
         });
-        self.footprints.lock().insert(key, fp);
+        self.footprints.insert(key, fp);
         fp
     }
 
     /// Drops footprint-cache entries for cube versions no longer current.
-    fn prune_footprints(&self) {
-        let cur = self.current.load();
+    fn prune_footprints(&mut self) {
+        let cur = &self.current;
         self.footprints
-            .lock()
             .retain(|&(ci, epoch), _| cur.cubes.get(ci).is_some_and(|c| c.epoch() == epoch));
     }
 
@@ -1096,11 +1032,13 @@ impl SubcubeManager {
     /// cube layout for the extended action set. All facts are staged in
     /// the bottom cube and redistributed by the next
     /// [`sync`](SubcubeManager::sync) pass, exactly as after a bulk load.
-    /// On rejection (NonCrossing/Growing violation) the manager is
+    /// On rejection (NonCrossing/Growing violation) the engine is
     /// unchanged.
-    pub fn evolve_insert(&self, new: Vec<ActionSpec>) -> Result<Vec<ActionId>, SubcubeError> {
-        let _w = self.writer.lock();
-        let cur = self.current.load();
+    pub(crate) fn evolve_insert(
+        &mut self,
+        new: Vec<ActionSpec>,
+    ) -> Result<Vec<ActionId>, SubcubeError> {
+        let cur = Arc::clone(&self.current);
         let mut spec = (*cur.spec).clone();
         let ids = spec.insert(new)?;
         self.rebuild_with_spec(&cur, spec)?;
@@ -1111,14 +1049,14 @@ impl SubcubeManager {
     /// Evolves the specification by deleting the given actions
     /// ([`DataReductionSpec::delete`], Definition 4) — checked against the
     /// warehouse's current facts at time `now` — and rebuilds the cube
-    /// layout. On rejection the manager is unchanged.
-    pub fn evolve_delete(&self, ids: &[ActionId], now: DayNum) -> Result<(), SubcubeError> {
-        let _w = self.writer.lock();
-        let cur = self.current.load();
-        let mo = WarehouseView {
-            v: Arc::clone(&cur),
-        }
-        .to_mo()?;
+    /// layout. On rejection the engine is unchanged.
+    pub(crate) fn evolve_delete(
+        &mut self,
+        ids: &[ActionId],
+        now: DayNum,
+    ) -> Result<(), SubcubeError> {
+        let cur = Arc::clone(&self.current);
+        let mo = self.view().to_mo()?;
         let mut spec = (*cur.spec).clone();
         spec.delete(ids, &mo, now)?;
         self.rebuild_with_spec(&cur, spec)?;
@@ -1126,12 +1064,12 @@ impl SubcubeManager {
         Ok(())
     }
 
-    /// Publishes a successor version with a new specification: the cube
-    /// DAG is re-derived and every existing fact is staged in the bottom
-    /// cube (the one cube allowed to hold foreign-granularity rows; a
-    /// sync pass homes them). Caller holds the writer lock.
+    /// Advances to a successor version with a new specification: the
+    /// cube DAG is re-derived and every existing fact is staged in the
+    /// bottom cube (the one cube allowed to hold foreign-granularity
+    /// rows; a sync pass homes them).
     fn rebuild_with_spec(
-        &self,
+        &mut self,
         cur: &Arc<VersionInner>,
         spec: DataReductionSpec,
     ) -> Result<(), SubcubeError> {
@@ -1139,7 +1077,7 @@ impl SubcubeManager {
         let epoch = cur.epoch + 1;
         let (mut cubes, parents) = layout(&spec, epoch);
         cubes[0].set_data(Arc::new(all), epoch);
-        self.publish(VersionInner {
+        self.advance(VersionInner {
             epoch,
             spec: Arc::new(spec),
             cubes,
@@ -1150,30 +1088,10 @@ impl SubcubeManager {
         Ok(())
     }
 
-    /// Re-publishes the contents of `view` as a new version (epoch still
-    /// advances — epochs never reuse). The rollback path for batched
-    /// durability: a batch that fails partway must leave the warehouse
-    /// "as if never issued", and with immutable versions that is exactly
-    /// one publication of the pre-batch snapshot.
-    pub fn rollback_to(&self, view: &WarehouseView) {
-        let _w = self.writer.lock();
-        let cur = self.current.load();
-        self.publish(VersionInner {
-            epoch: cur.epoch + 1,
-            spec: Arc::clone(&view.v.spec),
-            cubes: view.v.cubes.clone(),
-            parents: view.v.parents.clone(),
-            last_sync: view.v.last_sync,
-            dirty: view.v.dirty,
-        });
-        sdr_obs::inc("subcube.publish.rollbacks");
-    }
-
     /// Installs recovered cube contents wholesale (checkpoint loading):
-    /// one publication carrying every cube plus the recovered `last_sync`.
-    pub(crate) fn install_checkpoint(&self, mos: Vec<Mo>, last_sync: Option<DayNum>) {
-        let _w = self.writer.lock();
-        let cur = self.current.load();
+    /// one version carrying every cube plus the recovered `last_sync`.
+    pub(crate) fn install_checkpoint(&mut self, mos: Vec<Mo>, last_sync: Option<DayNum>) {
+        let cur = Arc::clone(&self.current);
         let epoch = cur.epoch + 1;
         let mut cubes = cur.cubes.clone();
         debug_assert_eq!(mos.len(), cubes.len());
@@ -1181,7 +1099,7 @@ impl SubcubeManager {
             c.set_data(Arc::new(mo), epoch);
             c.synced_to = last_sync;
         }
-        self.publish(VersionInner {
+        self.advance(VersionInner {
             epoch,
             spec: Arc::clone(&cur.spec),
             cubes,
@@ -1189,32 +1107,5 @@ impl SubcubeManager {
             last_sync,
             dirty: false,
         });
-    }
-
-    /// [`WarehouseView::next_sync_due`] on the current version.
-    pub fn next_sync_due(&self, after: DayNum) -> Result<Option<DayNum>, SubcubeError> {
-        self.view().next_sync_due(after)
-    }
-
-    /// Materializes the whole warehouse as one MO (union of all cubes).
-    pub fn to_mo(&self) -> Result<Mo, SubcubeError> {
-        self.view().to_mo()
-    }
-
-    /// [`WarehouseView::verify_stats`] on the current version.
-    pub fn verify_stats(&self) -> Result<(), SubcubeError> {
-        self.view().verify_stats()
-    }
-
-    /// Storage statistics per cube (rows, raw and encoded bytes), via the
-    /// `sdr-storage` layer.
-    pub fn storage_stats(&self) -> Result<Vec<(CubeId, sdr_storage::TableStats)>, SubcubeError> {
-        self.view().storage_stats()
-    }
-
-    /// A human-readable description of the cube layout (Figure 6 / the
-    /// disjoint-action example of Section 7.1).
-    pub fn describe(&self) -> String {
-        self.view().describe()
     }
 }

@@ -1,10 +1,10 @@
 //! Subcube persistence: atomic, manifest-described checkpoints.
 //!
-//! A warehouse directory is either the old checkpoint or the new one —
+//! A shard directory is either the old checkpoint or the new one —
 //! never a torn mixture. The layout is
 //!
 //! ```text
-//! dir/
+//! shard-<i:03>/
 //!   CURRENT            framed pointer to the live checkpoint directory
 //!   ckpt-<epoch>/      one complete checkpoint
 //!     MANIFEST         cube count, spec hash, WAL high-water mark, CRC
@@ -27,7 +27,7 @@ use sdr_mdm::DayNum;
 use sdr_reduce::DataReductionSpec;
 use sdr_storage::fs::{atomic_write, Fs, RealFs};
 use sdr_storage::wal::crc32;
-use sdr_storage::{FactTable, Wal};
+use sdr_storage::FactTable;
 
 use crate::error::SubcubeError;
 use crate::manager::{SubcubeManager, WarehouseView};
@@ -278,9 +278,11 @@ pub(crate) fn read_current(fs: &dyn Fs, dir: &Path) -> Result<u64, SubcubeError>
     Ok(epoch)
 }
 
-/// Reads the live checkpoint's manifest of a warehouse directory (the
-/// `CURRENT` pointer decides which epoch is live). Inspection only — use
-/// [`SubcubeManager::recover`] to actually open the warehouse.
+/// Reads the live checkpoint's manifest of one shard directory (the
+/// `CURRENT` pointer decides which epoch is live), e.g.
+/// `<root>/shard-000`. Inspection only — use
+/// [`ShardRouter::recover`](crate::ShardRouter::recover) to actually open
+/// the warehouse.
 pub fn read_manifest(dir: impl AsRef<Path>) -> Result<Manifest, SubcubeError> {
     let fs = RealFs;
     let dir = dir.as_ref();
@@ -402,9 +404,9 @@ pub(crate) fn load_checkpoint(
         .read(&man_path)
         .map_err(|e| SubcubeError::Storage(format!("{}: {e}", man_path.display())))?;
     let manifest = Manifest::decode(&man_path, &man_bytes)?;
-    let m = SubcubeManager::new(spec);
+    let mut m = SubcubeManager::new(spec);
     let layout = m.view();
-    if manifest.spec_hash != spec_fingerprint(&m.spec()) {
+    if manifest.spec_hash != spec_fingerprint(layout.spec()) {
         return Err(SubcubeError::Storage(format!(
             "{}: specification hash mismatch — was the directory written \
              with a different specification?\n  on disk: {}",
@@ -422,7 +424,10 @@ pub(crate) fn load_checkpoint(
     let mut mos = Vec::with_capacity(layout.cubes().len());
     for i in 0..layout.cubes().len() {
         let path = WarehouseLayout::cube_file_in(&ckpt, i);
-        let t = FactTable::load_from(std::sync::Arc::clone(m.schema()), &path)
+        let t = fs
+            .read(&path)
+            .map_err(sdr_storage::StorageError::from)
+            .and_then(|bytes| FactTable::deserialize(Arc::clone(m.schema()), bytes))
             .map_err(|e| SubcubeError::Storage(format!("{}: {e}", path.display())))?;
         let mo = t
             .to_mo()
@@ -495,82 +500,5 @@ pub(crate) fn sweep_garbage(fs: &dyn Fs, dir: &Path, live_epoch: u64) {
         } else if name.starts_with("wal-") {
             fs.remove_file(&p).ok();
         }
-    }
-}
-
-impl SubcubeManager {
-    /// Writes the warehouse into `dir` as a new atomic checkpoint
-    /// (creating the directory) and publishes it: staged cube files and
-    /// manifest, fsync, rename, `CURRENT` pointer flip. A fresh, empty
-    /// write-ahead log accompanies the checkpoint so the directory is
-    /// immediately [`recover`](SubcubeManager::recover)-able. A crash at
-    /// any point leaves the directory at the previous checkpoint.
-    pub fn save_to_dir(&self, dir: impl AsRef<Path>) -> Result<(), SubcubeError> {
-        self.save_to_dir_fs(&RealFs::shared(), dir.as_ref())?;
-        Ok(())
-    }
-
-    /// [`SubcubeManager::save_to_dir`] through an explicit [`Fs`];
-    /// returns the published epoch.
-    pub fn save_to_dir_fs(&self, fs: &Arc<dyn Fs>, dir: &Path) -> Result<u64, SubcubeError> {
-        let lay = WarehouseLayout::at(dir);
-        let epoch = if fs.exists(&lay.current()) {
-            read_current(fs.as_ref(), dir)? + 1
-        } else {
-            0
-        };
-        write_checkpoint(&self.view(), fs.as_ref(), dir, epoch, 0)?;
-        Wal::create(Arc::clone(fs), lay.wal(epoch), epoch)
-            .map_err(|e| SubcubeError::Storage(e.to_string()))?;
-        write_current(fs.as_ref(), dir, epoch)?;
-        sweep_garbage(fs.as_ref(), dir, epoch);
-        Ok(epoch)
-    }
-
-    /// Writes `dir` exactly as the format-2 (PR 6) checkpointer would
-    /// have: `SDRFACT1` cube files without dictionary/bit-packed
-    /// columns, a format-2 manifest (legacy-projected stats, no byte
-    /// table). **For the storage-format migration tests only** — it
-    /// lets the suite fabricate an old warehouse directory and prove
-    /// that current code loads it and re-checkpoints it as format 3.
-    /// Returns the published epoch.
-    pub fn save_legacy_format2_fs(
-        &self,
-        fs: &Arc<dyn Fs>,
-        dir: &Path,
-    ) -> Result<u64, SubcubeError> {
-        let lay = WarehouseLayout::at(dir);
-        let epoch = if fs.exists(&lay.current()) {
-            read_current(fs.as_ref(), dir)? + 1
-        } else {
-            0
-        };
-        write_checkpoint_fmt(&self.view(), fs.as_ref(), dir, epoch, 0, true)?;
-        Wal::create(Arc::clone(fs), lay.wal(epoch), epoch)
-            .map_err(|e| SubcubeError::Storage(e.to_string()))?;
-        write_current(fs.as_ref(), dir, epoch)?;
-        sweep_garbage(fs.as_ref(), dir, epoch);
-        Ok(epoch)
-    }
-
-    /// Rebuilds a manager from `spec` and the *live checkpoint* of a
-    /// directory written by [`SubcubeManager::save_to_dir`] (or the
-    /// durable warehouse) with the *same* specification. The write-ahead
-    /// log is ignored — use [`SubcubeManager::recover`] to also replay
-    /// operations logged after the checkpoint.
-    ///
-    /// # Errors
-    /// [`SubcubeError::Storage`] when the pointer, manifest, or a cube
-    /// file is missing or corrupt, or the layout (cube count, spec hash,
-    /// cube granularities) does not match the specification.
-    pub fn load_from_dir(
-        spec: DataReductionSpec,
-        dir: impl AsRef<Path>,
-    ) -> Result<SubcubeManager, SubcubeError> {
-        let fs = RealFs;
-        let dir = dir.as_ref();
-        let epoch = read_current(&fs, dir)?;
-        let (m, _) = load_checkpoint(spec, &fs, dir, epoch)?;
-        Ok(m)
     }
 }

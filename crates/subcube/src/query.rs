@@ -84,7 +84,7 @@ impl WarehouseView {
     }
 
     /// Evaluates `q` assuming synchronized cubes, with one worker per cube
-    /// (crossbeam scoped threads) when `parallel`. Cubes the planner
+    /// (scoped threads) when `parallel`. Cubes the planner
     /// proves irrelevant (empty, hull-disjoint) are skipped; use
     /// [`query_planned`](WarehouseView::query_planned) to also supply a
     /// region oracle, or [`query_naive`](WarehouseView::query_naive) for
@@ -94,8 +94,9 @@ impl WarehouseView {
     }
 
     /// [`query`](WarehouseView::query) with an optional region oracle
-    /// (built by [`SubcubeManager::query`] from the cached reduction
-    /// schedule) enabling proved-region pruning on origin-pure cubes.
+    /// (the router builds one per shard from the cached reduction
+    /// schedule, see [`ShardViewSet::oracle`](crate::ShardViewSet::oracle))
+    /// enabling proved-region pruning on origin-pure cubes.
     pub fn query_planned(
         &self,
         q: &CubeQuery,
@@ -250,28 +251,15 @@ impl WarehouseView {
                 .collect());
         }
         sdr_obs::add("subcube.query.fanout", n as u64);
-        // One worker per cube; results streamed back over a channel so the
-        // combination step can start as soon as everything arrived.
-        let (tx, rx) = crossbeam::channel::bounded::<(usize, Result<Mo, SubcubeError>)>(n);
+        // One worker per cube, joined in cube order.
+        let dispatch = &dispatch;
         std::thread::scope(|s| {
-            for i in 0..n {
-                let tx = tx.clone();
-                let dispatch = &dispatch;
-                s.spawn(move || {
-                    let r = dispatch(i);
-                    let _ = tx.send((i, r));
-                });
-            }
-        });
-        drop(tx);
-        let mut results: Vec<Option<Mo>> = (0..n).map(|_| None).collect();
-        for (i, r) in rx.iter() {
-            results[i] = Some(r?);
-        }
-        Ok(results
-            .into_iter()
-            .map(|r| r.expect("worker sent"))
-            .collect())
+            let handles: Vec<_> = (0..n).map(|i| s.spawn(move || dispatch(i))).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("subcube query worker panicked"))
+                .collect()
+        })
     }
 
     /// The consistent content of one cube in the un-synchronized state:
@@ -323,46 +311,14 @@ impl WarehouseView {
 }
 
 impl SubcubeManager {
-    /// Evaluates `q` on a fresh view of the current version, planned with
-    /// the full oracle set: exact per-cube statistics plus the proved
-    /// regions of the cached reduction schedule. Counts a stale read when
-    /// a newer version was published while the query ran — the answer is
-    /// still consistent (it saw one whole version), just not the newest.
-    pub fn query(&self, q: &CubeQuery, now: DayNum, parallel: bool) -> Result<Mo, SubcubeError> {
-        let view = self.view();
-        let oracle = self.region_oracle(&view);
-        let r = view.query_planned(q, now, parallel, oracle.as_ref());
-        if self.epoch() > view.epoch() {
-            sdr_obs::inc("subcube.query.stale_reads");
-        }
-        r
-    }
-
     /// The region oracle for `view`, built from the cached
     /// [`sdr_reduce::ReductionSchedule`] of its spec. `None` when the
     /// view was never synchronized (no cube content is action-placed yet)
     /// or the schedule cannot be built — planning then falls back to
     /// statistics-only pruning, never to an error.
-    pub fn region_oracle(&self, view: &WarehouseView) -> Option<RegionOracle> {
+    pub(crate) fn region_oracle(&mut self, view: &WarehouseView) -> Option<RegionOracle> {
         let last_sync = view.last_sync()?;
         let schedule = self.schedule_for(&view.v.spec).ok()?;
         Some(RegionOracle::build(&schedule, last_sync))
-    }
-
-    /// [`WarehouseView::query_unsync`] on a fresh view of the current
-    /// version, with the same stale-read accounting as
-    /// [`query`](SubcubeManager::query).
-    pub fn query_unsync(
-        &self,
-        q: &CubeQuery,
-        now: DayNum,
-        parallel: bool,
-    ) -> Result<Mo, SubcubeError> {
-        let view = self.view();
-        let r = view.query_unsync(q, now, parallel);
-        if self.epoch() > view.epoch() {
-            sdr_obs::inc("subcube.query.stale_reads");
-        }
-        r
     }
 }

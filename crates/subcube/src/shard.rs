@@ -1,39 +1,42 @@
-//! # Sharded warehouse core (PR 9)
+//! # The warehouse: N hash-partitioned shards behind one writer
 //!
-//! Hash-partitions the warehouse into N independent [`DurableWarehouse`]
-//! shards, each with its own subcube set, checkpoint chain and WAL,
-//! under one [`ShardRouter`] that preserves every single-shard
-//! guarantee:
+//! [`ShardRouter`] is the only type that mutates, checkpoints or recovers
+//! a warehouse. It hash-partitions facts into N shards, each a private
+//! engine with its own subcube set, checkpoint chain and WAL, and
+//! preserves every single-shard guarantee. At N = 1 over
+//! [`MemFs`] ([`ShardRouter::in_memory`]) it is the
+//! plain in-memory warehouse of Section 7.
 //!
 //! * **Routing invariant.** A fact lives on the shard selected by a
-//!   finalized hash of its PR 3 packed bottom key (`KeyPacker`), so the
-//!   same cell always routes to the same shard and per-shard reduction
-//!   is exactly the source paper's per-subcube reduction restricted to
-//!   a disjoint fact partition.
-//! * **Atomic cross-shard publish.** Every logical operation is applied
-//!   to all shards under one writer lock and then published as a single
-//!   pointer swap of an [`Arc<ShardViewSet>`] — readers always observe
-//!   all shards at the same logical operation count, never a torn mix.
+//!   finalized hash of its packed bottom key (`KeyPacker`), so the same
+//!   cell always routes to the same shard and per-shard reduction is
+//!   exactly the source paper's per-subcube reduction restricted to a
+//!   disjoint fact partition.
+//! * **One lock, one publish point.** Every logical operation runs on
+//!   all shards under the router's single writer [`Mutex`] and is then
+//!   published as a single pointer swap of an [`Arc<ShardViewSet>`] —
+//!   readers always observe all shards at the same logical operation
+//!   count, never a torn mix. The shard engines have no locks or swaps
+//!   of their own.
+//! * **All or nothing in memory.** An operation that fails on any shard
+//!   before it is logged restores every shard's saved pre-operation
+//!   version and publishes nothing, so `Err` means "as if never issued"
+//!   on every shard. This also makes spec evolution decisions uniform:
+//!   a rejection on any shard's facts rejects everywhere.
 //! * **Uniform WAL position.** Each logical operation appends exactly
-//!   one record to *every* shard's WAL (a bulk load ships each shard
-//!   its — possibly empty — partition), so record `j` on any shard is
+//!   one record to *every* shard's WAL (a bulk load ships each shard its
+//!   — possibly empty — partition), so record `j` on any shard is
 //!   logical operation `j`. After a crash, [`ShardRouter::recover`]
-//!   aligns all WALs to the longest common prefix: a record missing
-//!   from any shard was never acknowledged, so dropping it from the
-//!   shards that hold it restores exactly the acknowledged state.
-//! * **Uniform decisions.** Specification evolution is checked once,
-//!   globally, before it fans out: `spec_delete`'s Definition 4
-//!   responsibility check is evaluated against the *union* of all
-//!   shards' facts (per-fact, so global acceptance implies acceptance
-//!   on every fact subset — i.e. on every shard), and `spec_insert`'s
-//!   Growing/NonCrossing checks are instance-independent. A rejection
-//!   therefore touches no shard, exactly like the unsharded path.
+//!   aligns all WALs to the longest common prefix: a record missing from
+//!   any shard was never acknowledged, so dropping it from the shards
+//!   that hold it restores exactly the acknowledged state. A failed
+//!   append wedges the router until that recovery runs.
 //!
-//! Queries scatter to the per-shard PR 8 planners and gather with the
-//! same distributive merge the unsharded evaluator already uses between
-//! subcubes (`union` + one final `aggregate_ids`), so the sharded
-//! answer is bit-identical to the unsharded one — `tests/sharding.rs`
-//! proves it differentially for N ∈ {1, 2, 4, 7}.
+//! Queries scatter to the per-shard planners and gather with the same
+//! distributive merge the per-shard evaluator already uses between
+//! subcubes (`union` + one final `aggregate_ids`), so the sharded answer
+//! is bit-identical to the single-shard one — `tests/sharding.rs` proves
+//! it differentially for N ∈ {1, 2, 4, 7}.
 //!
 //! On disk (see [`crate::layout`]):
 //!
@@ -45,20 +48,20 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use sdr_sync::{fail, thread, Mutex, Swap};
+use sdr_sync::{fail, thread, Mutex, MutexGuard, Swap};
 
 use sdr_mdm::{DayNum, DimValue, FxHasher, KeyPacker, Mo, Schema};
 use sdr_plan::{QueryPlan, RegionOracle};
 use sdr_query::aggregate_ids;
 use sdr_reduce::DataReductionSpec;
 use sdr_spec::{ActionId, ActionSpec};
-use sdr_storage::fs::{atomic_write, Fs, RealFs};
+use sdr_storage::fs::{atomic_write, Fs, MemFs, RealFs};
 use sdr_storage::wal::{crc32, truncate_wal_records};
 
-use crate::durable::{DurableWarehouse, WarehouseOp};
+use crate::durable::{Shard, WalOp, WarehouseOp};
 use crate::error::SubcubeError;
 use crate::layout::WarehouseLayout;
-use crate::manager::{AgeStats, SyncStats, WarehouseView};
+use crate::manager::{AgeStats, SubcubeManager, SyncStats, WarehouseView};
 use crate::persist::{read_current, spec_fingerprint};
 use crate::query::CubeQuery;
 
@@ -137,6 +140,16 @@ pub struct ShardRecoveryReport {
     /// True when recovery finished a checkpoint that a crash had left
     /// applied to only some shards.
     pub resumed_checkpoint: bool,
+    /// Total acknowledged operations now reflected in the warehouse
+    /// (checkpoint high-water mark + replayed records; identical on every
+    /// shard).
+    pub ops_durable: u64,
+    /// The recovered synchronization watermark.
+    pub last_sync: Option<DayNum>,
+    /// Cubes whose persisted statistics were verified bit-identical to a
+    /// recomputation from the checkpoint's cube files, summed over all
+    /// shards (0 for legacy format-1 manifests, which carry no stats).
+    pub stats_verified: usize,
 }
 
 /// One immutable, internally consistent set of per-shard views — the
@@ -165,6 +178,13 @@ impl ShardViewSet {
         &self.views
     }
 
+    /// The region oracle of shard `i`'s view, built from its cached
+    /// reduction schedule (`None` before the first sync) — what
+    /// [`query`](ShardViewSet::query) plans with.
+    pub fn oracle(&self, i: usize) -> Option<&RegionOracle> {
+        self.oracles[i].as_ref()
+    }
+
     /// Total number of physical facts across all shards.
     pub fn len(&self) -> usize {
         self.views.iter().map(|v| v.len()).sum()
@@ -182,10 +202,10 @@ impl ShardViewSet {
     }
 
     /// Scatter-gather query over the synchronized state: each shard is
-    /// evaluated with its own PR 8 planner (zone-map skips and all) and
-    /// the partial answers are merged with the same distributive
-    /// `union + aggregate` step the unsharded evaluator uses between
-    /// subcubes — so the result is bit-identical to the unsharded path.
+    /// evaluated with its own planner (zone-map skips and all) and the
+    /// partial answers are merged with the same distributive
+    /// `union + aggregate` step the per-shard evaluator uses between
+    /// subcubes — so the result is bit-identical to the one-shard path.
     pub fn query(&self, q: &CubeQuery, now: DayNum, parallel: bool) -> Result<Mo, SubcubeError> {
         let _span = sdr_obs::span("shard.query");
         let subs = self.scatter(parallel, |i, inner_parallel| {
@@ -253,11 +273,15 @@ impl ShardViewSet {
 
     /// Merges per-shard partial answers: absorb into one MO, then one
     /// final distributive aggregation to the query's grouping levels —
-    /// the exact merge the unsharded evaluator applies between
-    /// subcubes.
+    /// the exact merge the per-shard evaluator applies between subcubes.
     fn gather(&self, q: &CubeQuery, subs: Vec<Mo>) -> Result<Mo, SubcubeError> {
         let mut iter = subs.into_iter();
         let mut union = iter.next().expect("at least one shard");
+        if iter.len() == 0 {
+            // One shard: its evaluator already applied the final
+            // aggregation.
+            return Ok(union);
+        }
         for part in iter {
             union
                 .absorb(&part)
@@ -269,20 +293,20 @@ impl ShardViewSet {
 
 /// The writer-side state: the shard vector plus the top-level epoch.
 struct RouterInner {
-    shards: Vec<DurableWarehouse>,
+    shards: Vec<Shard>,
     /// Top-level checkpoint epoch (the `SHARDS` manifest's).
     epoch: u64,
     /// Monotone publish counter for view sets.
     set_epoch: u64,
-    /// Set when a scatter failed after changing some shard: shard
-    /// states may diverge and every further mutation is refused until
-    /// [`ShardRouter::recover`] re-aligns the WALs.
+    /// Set when a log append failed: shards may disagree on their WAL
+    /// position, so every further mutation is refused until
+    /// [`ShardRouter::recover`] re-aligns the WALs. The only wedge.
     broken: bool,
 }
 
-/// An N-shard durable warehouse: hash-partitioned facts, one
-/// [`DurableWarehouse`] per shard, atomic cross-shard publish, aligned
-/// crash recovery. See the module docs for the invariants.
+/// The warehouse: N hash-partitioned shards, one writer lock, one
+/// atomic publish point, aligned crash recovery. See the module docs
+/// for the invariants.
 pub struct ShardRouter {
     schema: Arc<Schema>,
     packer: Option<KeyPacker>,
@@ -314,6 +338,13 @@ impl ShardRouter {
         Self::create_with_fs(spec, dir.as_ref(), shards, RealFs::shared())
     }
 
+    /// A fresh one-shard warehouse over its own [`MemFs`]: the in-memory
+    /// warehouse. It journals like any other; nothing touches the disk.
+    pub fn in_memory(spec: DataReductionSpec) -> ShardRouter {
+        Self::create_with_fs(spec, Path::new("/"), 1, MemFs::shared())
+            .expect("an empty MemFs always holds a fresh warehouse")
+    }
+
     /// [`ShardRouter::create`] through an explicit [`Fs`].
     pub fn create_with_fs(
         spec: DataReductionSpec,
@@ -335,9 +366,9 @@ impl ShardRouter {
         }
         let mut vec = Vec::with_capacity(shards);
         for i in 0..shards {
-            vec.push(DurableWarehouse::create_with_fs(
+            vec.push(Shard::create(
                 spec.clone(),
-                layout.shard(i).root(),
+                layout.shard(i),
                 Arc::clone(&fs),
             )?);
         }
@@ -379,10 +410,11 @@ impl ShardRouter {
     ///
     /// Every shard first has its WAL aligned to the longest prefix
     /// present on *all* shards (a record missing anywhere was never
-    /// acknowledged), then recovers independently. A crash that left a
-    /// cross-shard checkpoint half-applied (some shards already at the
-    /// next epoch) is finished here: the remaining shards are
-    /// checkpointed and the top-level manifest republished.
+    /// acknowledged), then recovers independently: it loads its live
+    /// checkpoint, drops any torn log tail by CRC, and replays the rest.
+    /// A crash that left a cross-shard checkpoint half-applied (some
+    /// shards already at the next epoch) is finished here: the remaining
+    /// shards are checkpointed and the top-level manifest republished.
     pub fn recover(
         spec: DataReductionSpec,
         dir: impl AsRef<Path>,
@@ -423,21 +455,18 @@ impl ShardRouter {
         // complete, identical log and no alignment is needed (unequal
         // counts there are corruption, not a torn scatter).
         let mut dropped_records = 0usize;
-        let counts: Vec<usize> = {
-            let mut counts = Vec::with_capacity(n);
-            for (i, &e) in shard_epochs.iter().enumerate() {
-                let path = layout.shard(i).wal(e);
-                counts.push(if fs.exists(&path) {
-                    sdr_storage::scan_wal(fs.as_ref(), &path)
-                        .map_err(|e| SubcubeError::Storage(e.to_string()))?
-                        .records
-                        .len()
-                } else {
-                    0
-                });
-            }
-            counts
-        };
+        let mut counts = Vec::with_capacity(n);
+        for (i, &e) in shard_epochs.iter().enumerate() {
+            let path = layout.shard(i).wal(e);
+            counts.push(if fs.exists(&path) {
+                sdr_storage::scan_wal(fs.as_ref(), &path)
+                    .map_err(|e| SubcubeError::Storage(e.to_string()))?
+                    .records
+                    .len()
+            } else {
+                0
+            });
+        }
         if resumed {
             let behind: Vec<usize> = (0..n).filter(|&i| shard_epochs[i] == man.epoch).collect();
             if behind.iter().any(|&i| counts[i] != counts[behind[0]]) {
@@ -459,24 +488,20 @@ impl ShardRouter {
 
         // Per-shard recovery (each replays its aligned log tail).
         let mut shards = Vec::with_capacity(n);
-        let mut replayed = 0usize;
-        let mut dropped_bytes = 0usize;
+        let (mut replayed, mut dropped_bytes, mut stats_verified) = (0, 0, 0);
         for i in 0..n {
-            let (w, rep) = DurableWarehouse::recover_with_fs(
-                spec.clone(),
-                layout.shard(i).root(),
-                Arc::clone(&fs),
-            )?;
+            let (shard, rep) = Shard::recover(&spec, layout.shard(i), Arc::clone(&fs))?;
             replayed += rep.replayed;
             dropped_bytes += rep.dropped_bytes;
-            shards.push(w);
+            stats_verified += rep.stats_verified;
+            shards.push(shard);
         }
 
         // Finish an interrupted cross-shard checkpoint.
         let epoch = if resumed {
-            for w in shards.iter_mut() {
-                if w.epoch() == man.epoch {
-                    w.checkpoint()?;
+            for shard in shards.iter_mut() {
+                if shard.epoch == man.epoch {
+                    shard.checkpoint(false)?;
                 }
             }
             let next = man.epoch + 1;
@@ -490,12 +515,18 @@ impl ShardRouter {
             man.epoch
         };
 
-        // The recovered shards must agree on the evolved specification
-        // and the sync watermark — anything else is corruption.
-        let fp0 = spec_fingerprint(&shards[0].manager().spec());
-        let sync0 = shards[0].manager().last_sync();
-        for w in &shards[1..] {
-            if spec_fingerprint(&w.manager().spec()) != fp0 || w.manager().last_sync() != sync0 {
+        // The recovered shards must agree on the evolved specification,
+        // the sync watermark and the acknowledged operation count —
+        // anything else is corruption.
+        let view0 = shards[0].engine.view();
+        let fp0 = spec_fingerprint(view0.spec());
+        let ops0 = shards[0].ops_durable();
+        for shard in &shards[1..] {
+            let v = shard.engine.view();
+            if spec_fingerprint(v.spec()) != fp0
+                || v.last_sync() != view0.last_sync()
+                || shard.ops_durable() != ops0
+            {
                 return Err(SubcubeError::Storage(format!(
                     "{}: shards recovered to divergent states",
                     dir.display()
@@ -503,7 +534,6 @@ impl ShardRouter {
             }
         }
 
-        let router = Self::assemble(spec, fs, layout, shards, epoch);
         let report = ShardRecoveryReport {
             shards: n,
             epoch,
@@ -511,15 +541,18 @@ impl ShardRouter {
             dropped_bytes,
             dropped_records,
             resumed_checkpoint: resumed,
+            ops_durable: ops0,
+            last_sync: view0.last_sync(),
+            stats_verified,
         };
-        Ok((router, report))
+        Ok((Self::assemble(spec, fs, layout, shards, epoch), report))
     }
 
     fn assemble(
         spec: DataReductionSpec,
         fs: Arc<dyn Fs>,
         layout: WarehouseLayout,
-        shards: Vec<DurableWarehouse>,
+        shards: Vec<Shard>,
         epoch: u64,
     ) -> ShardRouter {
         let schema = Arc::clone(spec.schema());
@@ -582,7 +615,7 @@ impl ShardRouter {
 
     /// The current (possibly evolved) specification.
     pub fn spec(&self) -> Arc<DataReductionSpec> {
-        self.writer.lock().shards[0].manager().spec()
+        Arc::clone(&self.view_set().views[0].v.spec)
     }
 
     /// Acknowledged durable operations (identical on every shard by the
@@ -591,7 +624,7 @@ impl ShardRouter {
         self.writer.lock().shards[0].ops_durable()
     }
 
-    /// True when a failed scatter wedged the router (recover to fix).
+    /// True when a failed log append wedged the router (recover to fix).
     pub fn is_broken(&self) -> bool {
         self.writer.lock().broken
     }
@@ -637,6 +670,9 @@ impl ShardRouter {
 
     /// Splits `mo` into one (possibly empty) partition per shard.
     fn partition(&self, mo: &Mo, shards: usize) -> Result<Vec<Mo>, SubcubeError> {
+        if shards == 1 {
+            return Ok(vec![mo.clone()]);
+        }
         let mut parts: Vec<Mo> = (0..shards).map(|_| mo.empty_like()).collect();
         let store = mo.store();
         for f in mo.facts() {
@@ -664,13 +700,13 @@ impl ShardRouter {
 
     fn snapshot(inner: &mut RouterInner) -> Arc<ShardViewSet> {
         inner.set_epoch += 1;
-        let views: Vec<WarehouseView> = inner.shards.iter().map(|s| s.manager().view()).collect();
-        let oracles = inner
-            .shards
-            .iter()
-            .zip(&views)
-            .map(|(s, v)| s.manager().region_oracle(v))
-            .collect();
+        let mut views = Vec::with_capacity(inner.shards.len());
+        let mut oracles = Vec::with_capacity(inner.shards.len());
+        for shard in &mut inner.shards {
+            let view = shard.engine.view();
+            oracles.push(shard.engine.region_oracle(&view));
+            views.push(view);
+        }
         Arc::new(ShardViewSet {
             epoch: inner.set_epoch,
             views,
@@ -678,73 +714,150 @@ impl ShardRouter {
         })
     }
 
-    /// The atomic cross-shard publish: builds a fresh view set from all
-    /// shards (under the writer lock, so no shard can move) and swaps
-    /// the published pointer.
-    fn publish(&self, inner: &mut RouterInner) {
-        let set = Self::snapshot(inner);
-        self.published.store(set);
+    /// The single publish point: builds a fresh view set from all shards
+    /// under the writer lock (so no shard can move) and swaps the
+    /// published pointer, then releases the lock.
+    fn publish(&self, mut inner: MutexGuard<'_, RouterInner>) {
+        let set = Self::snapshot(&mut inner);
+        let epoch = set.epoch;
+        // `mgr.publish-unlocked` is a model-only mutation: storing the
+        // set after releasing the writer lock lets a slower writer
+        // overwrite a newer set (a lost publish, an epoch going
+        // backwards) — the bug `specdr check epoch` must catch.
+        if fail::point("mgr.publish-unlocked") {
+            drop(inner);
+            self.published.store(set);
+        } else {
+            self.published.store(set);
+            drop(inner);
+        }
+        if sdr_obs::enabled() {
+            sdr_obs::inc("subcube.publish.count");
+            sdr_obs::gauge_set("subcube.epoch", epoch as i64);
+        }
     }
 
-    /// Folds per-shard results into one outcome. All-`Ok` commits; a
-    /// uniform rejection (every shard refused, none after logging)
-    /// propagates the error with no state change, exactly like the
-    /// unsharded path; anything mixed means shard states may diverge,
-    /// so the router wedges itself until recovery.
-    fn settle<T>(
-        inner: &mut RouterInner,
-        results: Vec<Result<T, SubcubeError>>,
+    /// The one write path. Under the writer lock: saves every shard's
+    /// version, applies `f` to each shard's engine (across threads when
+    /// `parallel`), journals each shard's records (`group`: as one group
+    /// record), and publishes. An in-memory failure on any shard
+    /// restores every saved version and publishes nothing; a failed
+    /// append also wedges the router, since shards may now disagree on
+    /// their WAL position.
+    fn write<T: Send>(
+        &self,
+        span: &'static str,
+        parallel: bool,
+        group: bool,
+        f: impl Fn(usize, &mut SubcubeManager) -> Result<(T, Vec<WalOp>), SubcubeError> + Sync,
     ) -> Result<Vec<T>, SubcubeError> {
-        if results.iter().all(|r| r.is_ok()) {
-            return Ok(results.into_iter().map(|r| r.unwrap()).collect());
+        let mut inner = self.writer.lock();
+        Self::guard(&inner)?;
+        let _span = sdr_obs::span(span);
+        let saved: Vec<WarehouseView> = inner.shards.iter().map(|s| s.engine.view()).collect();
+        let mut values = Vec::with_capacity(saved.len());
+        let mut records = Vec::with_capacity(saved.len());
+        let mut failed = None;
+        for r in Self::fanout(&mut inner.shards, parallel, |i, s| f(i, &mut s.engine)) {
+            match r {
+                Ok((v, ops)) => {
+                    values.push(v);
+                    records.push(ops);
+                }
+                Err(e) => {
+                    failed.get_or_insert(e);
+                }
+            }
         }
-        let any_ok = results.iter().any(|r| r.is_ok());
-        let any_broken = inner.shards.iter().any(|s| s.is_broken());
-        let first = results
-            .into_iter()
-            .find_map(|r| r.err())
-            .expect("at least one error");
-        if any_ok || any_broken {
+        if let Some(e) = failed {
+            // Nothing was logged: restoring the saved versions makes the
+            // failure "as if never issued". `durable.skip-rollback` is a
+            // model-only mutation: leaving the half-applied operation in
+            // the engines (to surface at the next publish) is exactly
+            // the bug `specdr check group-commit` must catch.
+            if !fail::point("durable.skip-rollback") {
+                Self::restore(&mut inner, saved);
+            }
+            return Err(e);
+        }
+        let logged = (inner.shards.iter_mut())
+            .zip(&records)
+            .try_for_each(|(shard, ops)| shard.log(ops, group));
+        if let Err(e) = logged {
+            Self::restore(&mut inner, saved);
             // `shard.skip-wedge` is a model-only mutation: leaving the
-            // router unwedged after a divergent scatter is exactly the
-            // bug `specdr check shard` must catch.
+            // router unwedged after a failed append is exactly the bug
+            // `specdr check shard` must catch.
             if !fail::point("shard.skip-wedge") {
                 inner.broken = true;
             }
             return Err(SubcubeError::Storage(format!(
-                "scatter diverged across shards ({first}); recovery required"
+                "scatter diverged across shards ({e}); recovery required"
             )));
         }
-        Err(first)
+        self.publish(inner);
+        Ok(values)
     }
 
-    /// Durable, partitioned bulk load. Every shard logs one record (its
-    /// own partition, possibly empty) so WAL positions stay uniform.
+    fn restore(inner: &mut RouterInner, saved: Vec<WarehouseView>) {
+        for (shard, view) in inner.shards.iter_mut().zip(saved) {
+            shard.engine.restore(view);
+        }
+    }
+
+    /// Runs `f` on every shard, concurrently when `parallel` and N > 1
+    /// (each shard is `&mut` to exactly one thread), preserving shard
+    /// order in the results.
+    fn fanout<T: Send>(
+        shards: &mut [Shard],
+        parallel: bool,
+        f: impl Fn(usize, &mut Shard) -> Result<T, SubcubeError> + Sync,
+    ) -> Vec<Result<T, SubcubeError>> {
+        if !parallel || shards.len() == 1 {
+            return shards
+                .iter_mut()
+                .enumerate()
+                .map(|(i, s)| f(i, s))
+                .collect();
+        }
+        let f = &f;
+        thread::scope(|s| {
+            let handles: Vec<_> = shards
+                .iter_mut()
+                .enumerate()
+                .map(|(i, sh)| s.spawn(move || f(i, sh)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("shard worker panicked"))
+                .collect()
+        })
+    }
+
+    /// Durable, partitioned bulk load (Section 7.2: new data enters the
+    /// bottom cube). Every shard logs one record (its own partition,
+    /// possibly empty) so WAL positions stay uniform.
     pub fn bulk_load(&self, facts: &Mo) -> Result<usize, SubcubeError> {
-        let mut inner = self.writer.lock();
-        Self::guard(&inner)?;
-        let _span = sdr_obs::span("shard.bulk_load");
-        let parts = self.partition(facts, inner.shards.len())?;
-        let results: Vec<Result<usize, SubcubeError>> = inner
-            .shards
-            .iter_mut()
-            .zip(&parts)
-            .map(|(s, p)| s.bulk_load(p))
-            .collect();
-        let loaded = Self::settle(&mut inner, results)?;
-        self.publish(&mut inner);
+        if facts.schema().fact_type != self.schema.fact_type {
+            return Err(SubcubeError::Reduce(sdr_reduce::ReduceError::Model(
+                sdr_mdm::MdmError::SchemaMismatch("bulk load schema".into()),
+            )));
+        }
+        let parts = self.partition(facts, self.shards())?;
+        let loaded = self.write("shard.bulk_load", false, false, |i, e| {
+            let rec = WalOp::bulk_load(&parts[i])?;
+            Ok((e.bulk_load(&parts[i])?, vec![rec]))
+        })?;
         Ok(loaded.into_iter().sum())
     }
 
-    /// Durable parallel synchronization: every shard syncs to `now`
-    /// concurrently, then one atomic publish exposes all of them.
+    /// Durable parallel synchronization (Section 7.2): every shard
+    /// syncs to `now` concurrently, then one atomic publish exposes all
+    /// of them.
     pub fn sync(&self, now: DayNum) -> Result<SyncStats, SubcubeError> {
-        let mut inner = self.writer.lock();
-        Self::guard(&inner)?;
-        let _span = sdr_obs::span("shard.sync");
-        let results = Self::fanout(&mut inner.shards, |s| s.sync(now));
-        let stats = Self::settle(&mut inner, results)?;
-        self.publish(&mut inner);
+        let stats = self.write("shard.sync", true, false, |_, e| {
+            Ok((e.sync(now)?, vec![WalOp::Sync(now)]))
+        })?;
         Ok(stats.into_iter().fold(SyncStats::default(), |mut a, s| {
             a.kept += s.kept;
             a.migrated += s.migrated;
@@ -753,14 +866,14 @@ impl ShardRouter {
         }))
     }
 
-    /// Durable parallel incremental aging to `until`.
+    /// Durable parallel incremental aging to `until`: each shard applies
+    /// the spec's transition-day ticks, re-reducing only the cubes a tick
+    /// touches; the result equals a from-scratch `sync(until)`. `until`
+    /// before the watermark is rejected ([`SubcubeError::AgeBeforeWatermark`]).
     pub fn age(&self, until: DayNum) -> Result<AgeStats, SubcubeError> {
-        let mut inner = self.writer.lock();
-        Self::guard(&inner)?;
-        let _span = sdr_obs::span("shard.age");
-        let results = Self::fanout(&mut inner.shards, |s| s.age(until));
-        let stats = Self::settle(&mut inner, results)?;
-        self.publish(&mut inner);
+        let stats = self.write("shard.age", true, false, |_, e| {
+            Ok((e.age(until)?, vec![WalOp::Age(until)]))
+        })?;
         Ok(stats.into_iter().fold(AgeStats::default(), |mut a, s| {
             a.ticks = a.ticks.max(s.ticks);
             a.cells_delta += s.cells_delta;
@@ -771,89 +884,41 @@ impl ShardRouter {
         }))
     }
 
-    /// Runs `f` on every shard concurrently (each shard is `&mut` to
-    /// exactly one thread), preserving shard order in the results.
-    fn fanout<T: Send>(
-        shards: &mut [DurableWarehouse],
-        f: impl Fn(&mut DurableWarehouse) -> Result<T, SubcubeError> + Sync + Send,
-    ) -> Vec<Result<T, SubcubeError>> {
-        if shards.len() == 1 {
-            return vec![f(&mut shards[0])];
-        }
-        thread::scope(|s| {
-            let handles: Vec<_> = shards.iter_mut().map(|sh| s.spawn(|| f(sh))).collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect()
-        })
-    }
-
-    /// Durable specification insert, decided once globally: the new
-    /// actions are validated against a clone of the current spec
-    /// (Growing/NonCrossing are instance-independent), so a rejection
-    /// touches no shard and acceptance is uniform across shards.
+    /// Durable specification insert (Definition 3). All facts are staged
+    /// in the bottom cube and redistributed by the next sync. A
+    /// Growing/NonCrossing rejection leaves every shard unchanged.
     pub fn spec_insert(&self, new: Vec<ActionSpec>) -> Result<Vec<ActionId>, SubcubeError> {
-        let mut inner = self.writer.lock();
-        Self::guard(&inner)?;
-        let _span = sdr_obs::span("shard.spec_insert");
-        let mut probe = (*inner.shards[0].manager().spec()).clone();
-        probe.insert(new.clone())?;
-        let results: Vec<Result<Vec<ActionId>, SubcubeError>> = inner
-            .shards
-            .iter_mut()
-            .map(|s| s.spec_insert(new.clone()))
-            .collect();
-        let mut ids = Self::settle(&mut inner, results)?;
-        self.publish(&mut inner);
+        let rec = WalOp::spec_insert(&self.schema, &new)?;
+        let mut ids = self.write("shard.spec_insert", false, false, |_, e| {
+            Ok((e.evolve_insert(new.clone())?, vec![rec.clone()]))
+        })?;
         Ok(ids.swap_remove(0))
     }
 
-    /// Durable specification delete, decided once globally against the
-    /// **union** of all shards' facts (Definition 4's responsibility
-    /// check is per-fact, so acceptance on the union implies acceptance
-    /// on every shard's subset). A rejection touches no shard — the
-    /// exact behavior of the unsharded warehouse on the same facts.
+    /// Durable specification delete (Definition 4), checked against the
+    /// facts at `now`. The responsibility check is per fact, so a
+    /// rejection on any shard is the rejection the union of all shards'
+    /// facts would get; it leaves every shard unchanged.
     pub fn spec_delete(&self, ids: &[ActionId], now: DayNum) -> Result<(), SubcubeError> {
-        let mut inner = self.writer.lock();
-        Self::guard(&inner)?;
-        let _span = sdr_obs::span("shard.spec_delete");
-        let mut union: Option<Mo> = None;
-        for s in &inner.shards {
-            let part = s.manager().view().to_mo()?;
-            match &mut union {
-                None => union = Some(part),
-                Some(u) => u
-                    .absorb(&part)
-                    .map_err(|e| SubcubeError::Storage(e.to_string()))?,
-            }
-        }
-        let mut probe = (*inner.shards[0].manager().spec()).clone();
-        probe.delete(ids, &union.expect("at least one shard"), now)?;
-        let results: Vec<Result<(), SubcubeError>> = inner
-            .shards
-            .iter_mut()
-            .map(|s| s.spec_delete(ids, now))
-            .collect();
-        Self::settle(&mut inner, results)?;
-        self.publish(&mut inner);
+        let rec = WalOp::SpecDelete(ids.iter().map(|i| i.0).collect(), now);
+        self.write("shard.spec_delete", false, false, |_, e| {
+            Ok((e.evolve_delete(ids, now)?, vec![rec.clone()]))
+        })?;
         Ok(())
     }
 
-    /// Durable whole-batch application: each shard receives the same
-    /// operation sequence (bulk loads partitioned) as **one** group
-    /// record, keeping WAL positions uniform and whole-batch atomicity
-    /// per shard. A uniform rejection rolls every shard back (the
-    /// single-shard group-commit contract); a divergent one wedges the
-    /// router for recovery.
+    /// Group commit: applies a batch of operations and journals them as
+    /// **one** record per shard — one write, one fsync — so durability
+    /// cost is paid per batch, not per operation. Each shard receives the
+    /// same operation sequence (bulk loads partitioned). On `Ok`, every
+    /// operation of the batch is durable; on `Err` none is and nothing
+    /// was published. Returns the number of operations committed.
     pub fn apply_batch(&self, ops: Vec<WarehouseOp>) -> Result<usize, SubcubeError> {
-        let mut inner = self.writer.lock();
-        Self::guard(&inner)?;
         if ops.is_empty() {
+            Self::guard(&self.writer.lock())?;
             return Ok(0);
         }
-        let _span = sdr_obs::span("shard.apply_batch");
-        let n = inner.shards.len();
+        let n = self.shards();
         let mut batches: Vec<Vec<WarehouseOp>> = (0..n).map(|_| Vec::new()).collect();
         for op in ops {
             match op {
@@ -869,14 +934,13 @@ impl ShardRouter {
                 }
             }
         }
-        let results: Vec<Result<usize, SubcubeError>> = inner
-            .shards
-            .iter_mut()
-            .zip(batches)
-            .map(|(s, b)| s.apply_batch(b))
-            .collect();
-        let counts = Self::settle(&mut inner, results)?;
-        self.publish(&mut inner);
+        let counts = self.write("shard.apply_batch", false, true, |i, e| {
+            let records = batches[i]
+                .iter()
+                .map(|op| op.apply(e))
+                .collect::<Result<Vec<_>, _>>()?;
+            Ok((records.len(), records))
+        })?;
         Ok(counts.into_iter().max().unwrap_or(0))
     }
 
@@ -886,11 +950,26 @@ impl ShardRouter {
     /// shards are checkpointed on recovery — the manifest is written
     /// only after every shard completed).
     pub fn checkpoint(&self) -> Result<u64, SubcubeError> {
+        self.checkpoint_fmt(false)
+    }
+
+    /// Writes the next checkpoint exactly as the format-2 checkpointer
+    /// did: `SDRFACT1` cube files without dictionary/bit-packed columns
+    /// and a format-2 manifest (legacy-projected stats, no byte table).
+    /// **For the storage-format migration tests only** — it fabricates
+    /// an old warehouse directory so the suite can prove that current
+    /// code loads it and re-checkpoints it as format 3.
+    #[doc(hidden)]
+    pub fn checkpoint_legacy_format2(&self) -> Result<u64, SubcubeError> {
+        self.checkpoint_fmt(true)
+    }
+
+    fn checkpoint_fmt(&self, legacy: bool) -> Result<u64, SubcubeError> {
         let mut inner = self.writer.lock();
         Self::guard(&inner)?;
         let _span = sdr_obs::span("shard.checkpoint");
-        for s in inner.shards.iter_mut() {
-            if let Err(e) = s.checkpoint() {
+        for i in 0..inner.shards.len() {
+            if let Err(e) = inner.shards[i].checkpoint(legacy) {
                 inner.broken = true;
                 return Err(e);
             }

@@ -19,7 +19,7 @@ use specdr::mdm::calendar::days_from_civil;
 use specdr::mdm::{render_table, TableOptions};
 use specdr::reduce::DataReductionSpec;
 use specdr::spec::parse_action;
-use specdr::subcube::{DurableWarehouse, SubcubeManager};
+use specdr::subcube::ShardRouter;
 use specdr::workload::{paper_mo, ACTION_A1, ACTION_A2};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -33,14 +33,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = DataReductionSpec::new(schema, vec![a1, a2])?;
 
     // 1. Build the warehouse durably: every operation is in the log
-    //    before it is acknowledged.
-    let mut w = DurableWarehouse::create(spec.clone(), &dir)?;
+    //    before it is acknowledged. One shard: the whole warehouse
+    //    lives under `shard-000/`.
+    let w = ShardRouter::create(spec.clone(), &dir, 1)?;
     w.bulk_load(&mo)?;
     w.sync(days_from_civil(2000, 6, 5))?;
     println!(
         "acknowledged {} operations; warehouse has {} facts",
         w.ops_durable(),
-        w.manager().len()
+        w.len()
     );
 
     // 2. A checkpoint folds the log into an atomic snapshot (staged,
@@ -50,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. More work lands in the fresh log…
     w.sync(days_from_civil(2000, 11, 5))?;
-    let wal = dir.join(format!("wal-{epoch:06}.log"));
+    let wal = dir.join(format!("shard-000/wal-{epoch:06}.log"));
     drop(w);
 
     // 4. …and the machine dies mid-write: the last record is torn.
@@ -61,12 +62,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 5. Recovery loads the checkpoint and replays the log tail; the
     //    torn record fails its CRC and is dropped — it was never
     //    acknowledged, so the result is exactly the committed state.
-    let (mgr, report) = SubcubeManager::recover(spec, &dir)?;
+    let (w, report) = ShardRouter::recover(spec, &dir)?;
     println!(
         "recovered epoch {}: replayed {} records, dropped {} torn bytes",
         report.epoch, report.replayed, report.dropped_bytes
     );
-    let whole = mgr.to_mo()?;
+    let whole = w.view_set().to_mo()?;
     println!("\nrecovered warehouse (reduced to 2000/6/5):\n");
     println!("{}", render_table(&whole, TableOptions::default()));
 

@@ -13,7 +13,7 @@ use specdr::mdm::time_cat;
 use specdr::query::{AggApproach, SelectMode};
 use specdr::reduce::DataReductionSpec;
 use specdr::spec::{parse_action, parse_pexp};
-use specdr::subcube::{CubeQuery, SubcubeManager};
+use specdr::subcube::{CubeQuery, ShardRouter};
 use specdr::workload::{paper_mo, ACTION_A1, ACTION_A2};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -25,10 +25,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Figure 6: the physical architecture — one subcube per distinct
     // action granularity plus the bottom cube all new data enters.
-    let m = SubcubeManager::new(spec);
+    let m = ShardRouter::in_memory(spec);
     m.bulk_load(&mo)?;
     println!("Figure 6 — subcube architecture after bulk load:");
-    print!("{}", m.describe());
+    print!("{}", m.view_set().views()[0].describe());
 
     // Figure 7: synchronization migrates facts along the cube DAG as NOW
     // advances (bottom → month cube → quarter cube).
@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "\nsync at {y}/{mm}/{d}: kept={}, migrated={}, merged={}",
             stats.kept, stats.migrated, stats.merged
         );
-        print!("{}", m.describe());
+        print!("{}", m.view_set().views()[0].describe());
     }
 
     // Figure 8: a query evaluated per cube in parallel, sub-results

@@ -13,6 +13,12 @@ run() {
 run cargo build --release
 run cargo test -q
 run cargo test -q --workspace
+
+# The benchmark links the public warehouse API from its own workspace:
+# building it and running its unit tests here makes an API break fail CI
+# rather than the benchmark run. Cargo may rewrite specbench/Cargo.lock
+# while resolving; that file is not part of the gate.
+run cargo test -q --offline --manifest-path specbench/Cargo.toml
 run cargo fmt --check
 run cargo clippy --workspace -- -D warnings
 
@@ -158,7 +164,8 @@ run cargo test -q --release --test aging
 run cargo test -q --release --test concurrency
 
 # Sharded differential suite under --release: N-shard warehouses must be
-# digest-identical to the unsharded manager over random churn, including
+# digest-identical to a one-shard in-memory warehouse (itself checked
+# against sdr_reduce::reduce) over random churn, including
 # recovery from torn single-shard WALs, seeded crash matrices, and an
 # interrupted cross-shard checkpoint.
 run cargo test -q --release --test sharding

@@ -113,7 +113,7 @@ use specdr::query::{AggApproach, Query, SelectMode};
 use specdr::reduce::{reduce, DataReductionSpec};
 use specdr::spec::{explain_action, parse_actions, parse_pexp};
 use specdr::storage::FactTable;
-use specdr::subcube::{AgeStats, CubeQuery, SubcubeManager};
+use specdr::subcube::{AgeStats, CubeQuery, ShardRouter, WarehouseLayout};
 use specdr::workload::{
     generate, generate_sessions, paper_mo, retention_policy, snapshot_days, ClickstreamConfig,
     SessionConfig, ACTION_A1, ACTION_A2,
@@ -655,10 +655,10 @@ fn cmd_explain(opts: &Opts) -> Result<(), AnyError> {
 
 /// Builds the synthetic warehouse every introspection command runs
 /// against: `months` × `clicks`/day of click-stream facts bulk-loaded
-/// into a subcube manager under the 6/36-month retention policy.
+/// into an in-memory warehouse under the 6/36-month retention policy.
 fn introspection_warehouse(
     opts: &Opts,
-) -> Result<(SubcubeManager, Arc<specdr::mdm::Schema>, i32), AnyError> {
+) -> Result<(ShardRouter, Arc<specdr::mdm::Schema>, i32), AnyError> {
     let months: u32 = opts.value("--months").unwrap_or("24").parse()?;
     let clicks: usize = opts.value("--clicks").unwrap_or("100").parse()?;
     let end_total = 12 * 1999 + months as i32 - 1;
@@ -674,7 +674,7 @@ fn introspection_warehouse(
         None => days_from_civil(ey + 2, em, 28),
     };
     let spec = retention_spec(&cs.schema, 6, 36)?;
-    let mgr = SubcubeManager::new(spec);
+    let mgr = ShardRouter::in_memory(spec);
     mgr.bulk_load(&cs.mo)?;
     Ok((mgr, cs.schema, now))
 }
@@ -757,9 +757,9 @@ fn cmd_explain_warehouse(opts: &Opts, reduce_pass: bool) -> Result<(), AnyError>
 /// Builds the warehouse `specdr age` operates on: click-stream facts
 /// under the retention policy (or `--spec-file`), baseline-synchronized
 /// to the end of the loaded data so the aging below is genuinely
-/// incremental. Returns the manager, the baseline day, and the default
+/// incremental. Returns the warehouse, the baseline day, and the default
 /// `--until` (two years past the data).
-fn aging_warehouse(opts: &Opts) -> Result<(SubcubeManager, i32, i32), AnyError> {
+fn aging_warehouse(opts: &Opts) -> Result<(ShardRouter, i32, i32), AnyError> {
     let months: u32 = opts.value("--months").unwrap_or("24").parse()?;
     let clicks: usize = opts.value("--clicks").unwrap_or("50").parse()?;
     let end_total = 12 * 1999 + months as i32 - 1;
@@ -779,13 +779,13 @@ fn aging_warehouse(opts: &Opts) -> Result<(SubcubeManager, i32, i32), AnyError> 
         None => retention_spec(&cs.schema, 6, 36)?,
     };
     let baseline = days_from_civil(ey, em, 28);
-    let mgr = SubcubeManager::new(spec);
+    let mgr = ShardRouter::in_memory(spec);
     mgr.bulk_load(&cs.mo)?;
     mgr.sync(baseline)?;
     Ok((mgr, baseline, days_from_civil(ey + 2, em, 28)))
 }
 
-fn print_age_stats(t: i32, s: &AgeStats, mgr: &SubcubeManager) {
+fn print_age_stats(t: i32, s: &AgeStats, mgr: &ShardRouter) {
     println!(
         "aged to {}: ticks={} cells_delta={} merged={} cubes_rebuilt={} \
          cubes_skipped={}; {} facts remain",
@@ -810,7 +810,7 @@ fn cmd_age(opts: &Opts) -> Result<(), AnyError> {
     println!(
         "warehouse: {} facts across {} cubes, synchronized to {}",
         mgr.len(),
-        mgr.n_cubes(),
+        n_cubes(&mgr),
         render_date(baseline)
     );
     let stats = mgr.age(until)?;
@@ -819,7 +819,7 @@ fn cmd_age(opts: &Opts) -> Result<(), AnyError> {
         let ticks: u32 = opts.value("--tick").unwrap_or("4").parse()?;
         let mut cur = until;
         for i in 1..=ticks {
-            match mgr.next_sync_due(cur)? {
+            match mgr.view_set().views()[0].next_sync_due(cur)? {
                 Some(t) => {
                     let s = mgr.age(t)?;
                     print!("tick {i}: ");
@@ -1042,7 +1042,7 @@ fn cmd_simulate(opts: &Opts) -> Result<(), AnyError> {
     // the subcube warehouse, synchronize to the final NOW, and answer one
     // representative roll-up in parallel — so a `--metrics` run shows
     // reduce, subcube, query, and storage numbers side by side.
-    let mgr = SubcubeManager::new(spec);
+    let mgr = ShardRouter::in_memory(spec);
     mgr.bulk_load(&cs.mo)?;
     let stats = mgr.sync(now)?;
     println!(
@@ -1050,7 +1050,7 @@ fn cmd_simulate(opts: &Opts) -> Result<(), AnyError> {
         stats.kept,
         stats.migrated,
         stats.merged,
-        mgr.n_cubes()
+        n_cubes(&mgr)
     );
     let (tdim, month) = cs.schema.resolve_cat("Time.month")?;
     let mut levels = cs.schema.bottom_granularity().0;
@@ -1162,7 +1162,7 @@ fn cmd_checkpoint(opts: &Opts) -> Result<(), AnyError> {
         ..Default::default()
     });
     let spec = retention_spec(&cs.schema, raw_months, month_months)?;
-    let mut w = specdr::subcube::DurableWarehouse::open(spec, &dir)?;
+    let w = ShardRouter::open(spec, &dir, 1)?;
     let loaded = w.bulk_load(&cs.mo)?;
     let now = days_from_civil(ey + 1, em, 28);
     let stats = w.sync(now)?;
@@ -1177,7 +1177,7 @@ fn cmd_checkpoint(opts: &Opts) -> Result<(), AnyError> {
         stats.merged
     );
     let epoch = w.checkpoint()?;
-    let manifest = specdr::subcube::persist::read_manifest(&dir)?;
+    let manifest = specdr::subcube::read_manifest(WarehouseLayout::at(&dir).shard(0).root())?;
     println!("checkpoint published: {dir}");
     println!("  epoch      = {epoch}");
     println!("  cubes      = {}", manifest.cube_count);
@@ -1207,7 +1207,7 @@ fn cmd_recover(opts: &Opts) -> Result<(), AnyError> {
         ..Default::default()
     });
     let spec = retention_spec(&cs.schema, raw_months, month_months)?;
-    let (mgr, report) = SubcubeManager::recover(spec, &dir)?;
+    let (mgr, report) = ShardRouter::recover(spec, &dir)?;
     println!("recovered {dir}:");
     println!("  epoch           = {}", report.epoch);
     println!("  replayed        = {} WAL records", report.replayed);
@@ -1223,7 +1223,7 @@ fn cmd_recover(opts: &Opts) -> Result<(), AnyError> {
     println!(
         "  warehouse       = {} facts across {} cubes",
         mgr.len(),
-        mgr.n_cubes()
+        n_cubes(&mgr)
     );
     Ok(())
 }
@@ -1257,7 +1257,18 @@ fn cmd_stats(opts: &Opts) -> Result<(), AnyError> {
     // storage encoding, subcube load + sync, and a parallel query.
     let red = reduce(&cs.mo, &spec, now)?;
     let _ = FactTable::from_mo(&red, 1 << 14)?.stats();
-    let mgr = SubcubeManager::new(spec);
+    // `--bytes` checkpoints to a scratch directory; otherwise the
+    // warehouse lives in memory.
+    let bytes_dir = opts
+        .switch("--bytes")
+        .then(|| std::env::temp_dir().join(format!("specdr-stats-bytes-{}", std::process::id())));
+    let mgr = match &bytes_dir {
+        Some(dir) => {
+            let _ = std::fs::remove_dir_all(dir);
+            ShardRouter::create(spec, dir, 1)?
+        }
+        None => ShardRouter::in_memory(spec),
+    };
     mgr.bulk_load(&cs.mo)?;
     mgr.sync(now)?;
     let (tdim, month) = cs.schema.resolve_cat("Time.month")?;
@@ -1278,8 +1289,10 @@ fn cmd_stats(opts: &Opts) -> Result<(), AnyError> {
         "pipeline over {months} months × {clicks} clicks/day ({} facts):",
         cs.mo.len()
     );
-    if opts.switch("--bytes") {
-        print_cube_bytes(&mgr, format)?;
+    if let Some(dir) = &bytes_dir {
+        let printed = print_cube_bytes(&mgr, dir, format);
+        let _ = std::fs::remove_dir_all(dir);
+        printed?;
     }
     print_snapshot(format);
     Ok(())
@@ -1289,81 +1302,84 @@ fn cmd_stats(opts: &Opts) -> Result<(), AnyError> {
 /// subcube's on-disk footprint from the manifest's byte table — `raw` is
 /// the uncompressed row footprint, `encoded` the cube file length after
 /// dictionary/bit-packed column encoding.
-fn print_cube_bytes(mgr: &SubcubeManager, format: MetricsFormat) -> Result<(), AnyError> {
-    let dir = std::env::temp_dir().join(format!("specdr-stats-bytes-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir)?;
-    let result = (|| -> Result<(), AnyError> {
-        mgr.save_to_dir(&dir)?;
-        let man = specdr::subcube::read_manifest(&dir)?;
-        let view = mgr.view();
-        let schema = view.schema();
-        match format {
-            MetricsFormat::Json => {
-                let mut out = String::from("{\"cube_bytes\":[");
-                for (i, c) in view.cubes().iter().enumerate() {
-                    let (raw, enc) = man.cube_bytes.get(i).copied().unwrap_or((0, 0));
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!(
-                        "{{\"id\":{i},\"grain\":\"{}\",\"rows\":{},\"raw\":{raw},\"encoded\":{enc}}}",
-                        schema.render_granularity(&c.grain),
-                        c.stats().rows,
-                    ));
+fn print_cube_bytes(
+    mgr: &ShardRouter,
+    dir: &std::path::Path,
+    format: MetricsFormat,
+) -> Result<(), AnyError> {
+    mgr.checkpoint()?;
+    let man = specdr::subcube::read_manifest(WarehouseLayout::at(dir).shard(0).root())?;
+    let set = mgr.view_set();
+    let view = &set.views()[0];
+    let schema = view.schema();
+    match format {
+        MetricsFormat::Json => {
+            let mut out = String::from("{\"cube_bytes\":[");
+            for (i, c) in view.cubes().iter().enumerate() {
+                let (raw, enc) = man.cube_bytes.get(i).copied().unwrap_or((0, 0));
+                if i > 0 {
+                    out.push(',');
                 }
-                out.push_str("]}");
-                println!("{out}");
+                out.push_str(&format!(
+                    "{{\"id\":{i},\"grain\":\"{}\",\"rows\":{},\"raw\":{raw},\"encoded\":{enc}}}",
+                    schema.render_granularity(&c.grain),
+                    c.stats().rows,
+                ));
             }
-            MetricsFormat::Table => {
-                println!(
-                    "\non-disk bytes per subcube (checkpoint format {}):",
-                    man.format
-                );
-                println!(
-                    "  {:<5} {:<38} {:>10} {:>12} {:>12} {:>7}",
-                    "cube", "grain", "rows", "raw", "encoded", "ratio"
-                );
-                let (mut traw, mut tenc) = (0u64, 0u64);
-                for (i, c) in view.cubes().iter().enumerate() {
-                    let (raw, enc) = man.cube_bytes.get(i).copied().unwrap_or((0, 0));
-                    traw += raw;
-                    tenc += enc;
-                    let ratio = if enc > 0 && raw > 0 {
-                        format!("{:.2}x", raw as f64 / enc as f64)
-                    } else {
-                        "-".to_string()
-                    };
-                    println!(
-                        "  K{:<4} {:<38} {:>10} {:>12} {:>12} {:>7}",
-                        i,
-                        schema.render_granularity(&c.grain),
-                        c.stats().rows,
-                        raw,
-                        enc,
-                        ratio
-                    );
-                }
-                let ratio = if tenc > 0 {
-                    format!("{:.2}x", traw as f64 / tenc as f64)
+            out.push_str("]}");
+            println!("{out}");
+        }
+        MetricsFormat::Table => {
+            println!(
+                "\non-disk bytes per subcube (checkpoint format {}):",
+                man.format
+            );
+            println!(
+                "  {:<5} {:<38} {:>10} {:>12} {:>12} {:>7}",
+                "cube", "grain", "rows", "raw", "encoded", "ratio"
+            );
+            let (mut traw, mut tenc) = (0u64, 0u64);
+            for (i, c) in view.cubes().iter().enumerate() {
+                let (raw, enc) = man.cube_bytes.get(i).copied().unwrap_or((0, 0));
+                traw += raw;
+                tenc += enc;
+                let ratio = if enc > 0 && raw > 0 {
+                    format!("{:.2}x", raw as f64 / enc as f64)
                 } else {
                     "-".to_string()
                 };
                 println!(
-                    "  {:<5} {:<38} {:>10} {:>12} {:>12} {:>7}",
-                    "total",
-                    "",
-                    view.len(),
-                    traw,
-                    tenc,
+                    "  K{:<4} {:<38} {:>10} {:>12} {:>12} {:>7}",
+                    i,
+                    schema.render_granularity(&c.grain),
+                    c.stats().rows,
+                    raw,
+                    enc,
                     ratio
                 );
             }
+            let ratio = if tenc > 0 {
+                format!("{:.2}x", traw as f64 / tenc as f64)
+            } else {
+                "-".to_string()
+            };
+            println!(
+                "  {:<5} {:<38} {:>10} {:>12} {:>12} {:>7}",
+                "total",
+                "",
+                view.len(),
+                traw,
+                tenc,
+                ratio
+            );
         }
-        Ok(())
-    })();
-    let _ = std::fs::remove_dir_all(&dir);
-    result
+    }
+    Ok(())
+}
+
+/// Number of subcubes (of shard 0 — every shard has the same layout).
+fn n_cubes(mgr: &ShardRouter) -> usize {
+    mgr.view_set().views()[0].cubes().len()
 }
 
 fn cmd_concurrent(opts: &Opts) -> Result<(), AnyError> {

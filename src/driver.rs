@@ -1,37 +1,35 @@
-//! Closed-loop concurrent warehouse driver.
+//! Closed-loop concurrent warehouse drivers.
 //!
-//! One seeded writer thread applies a [`churn_script`] of bulk loads,
-//! syncs, and specification insert/delete to a shared
-//! [`SubcubeManager`], while `readers` threads continuously issue the
-//! Figure 5–9 query mix against whatever snapshot [`view()`] hands them.
-//! The writer retains every version it publishes; after the threads
-//! join, every reader observation `(epoch, query, result digest)` is
-//! re-evaluated against the retained view of that exact epoch — a
-//! mismatch is a *torn read*, a result that matches no published version
-//! of the warehouse. Under snapshot isolation the count must be zero.
+//! One seeded writer applies a [`churn_script`] of bulk loads, syncs,
+//! and specification insert/delete to a [`ShardRouter`], while readers
+//! continuously issue the Figure 5–9 query mix ([`serve::mix_specs`])
+//! against whatever view set the router publishes. Two reader flavours
+//! share one harness: [`drive`] runs in-process reader threads against
+//! a fresh in-memory warehouse, and [`drive_socket`] runs TCP clients
+//! against a live `specdr serve` daemon. The writer retains every set it
+//! publishes; after the threads join, every observation `(epoch, query,
+//! result digest)` is re-evaluated against the retained set of that
+//! exact epoch — a mismatch is a *torn read*, a result that matches no
+//! published version of the warehouse. Under snapshot isolation the
+//! count must be zero.
 //!
-//! The driver is deliberately deterministic on the writer side: the
-//! churn schedule and therefore the sequence of published epochs and
-//! their content digests are a pure function of the seed, which is what
+//! The writer side is deliberately deterministic: the churn schedule
+//! and therefore the sequence of published epochs and their content
+//! digests are a pure function of the seed, which is what
 //! `scripts/ci.sh` compares across two runs (`SPECDR_CRASH_SEED`). Only
 //! the reader interleaving varies between runs, and the torn-read check
 //! makes any interleaving-visible inconsistency a test failure.
 //!
 //! [`churn_script`]: sdr_workload::churn_script
-//! [`view()`]: sdr_subcube::SubcubeManager::view
 
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use sdr_mdm::{calendar::days_from_civil, time_cat, DayNum, Mo};
-use sdr_query::{AggApproach, SelectMode};
+use sdr_mdm::{calendar::days_from_civil, DayNum, Mo, Schema};
 use sdr_reduce::DataReductionSpec;
-use sdr_spec::parse_pexp;
-use sdr_subcube::{
-    CubeQuery, ShardRouter, ShardViewSet, SubcubeError, SubcubeManager, WarehouseView,
-};
+use sdr_subcube::{ShardRouter, ShardViewSet, SubcubeError};
 use sdr_workload::{churn_script, ChurnOp, SplitMix64};
 
 use crate::serve;
@@ -59,17 +57,6 @@ impl Default for DriveConfig {
             min_queries_per_reader: 40,
         }
     }
-}
-
-/// One reader observation: which query ran against which published epoch
-/// and what the result's content digest was.
-#[derive(Debug, Clone, Copy)]
-struct Observation {
-    epoch: u64,
-    query: usize,
-    unsync: bool,
-    now: DayNum,
-    digest: u64,
 }
 
 /// The outcome of a driver run.
@@ -111,85 +98,66 @@ pub fn result_digest(mo: &Mo) -> u64 {
     h
 }
 
-/// Digest of a whole published version (every cube, in cube order).
-fn view_digest(v: &WarehouseView) -> u64 {
+/// Content digest of a whole published set (every shard's cubes, in
+/// shard/cube order).
+fn set_digest(set: &ShardViewSet) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for c in v.cubes() {
-        h ^= result_digest(c.data());
+    for v in set.views() {
+        let mut vh: u64 = 0xcbf2_9ce4_8422_2325;
+        for c in v.cubes() {
+            vh ^= result_digest(c.data());
+            vh = vh.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h ^= vh;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-/// The Figure 5–9 query mix: roll-ups with and without predicates, in
-/// conservative/liberal/weighted imprecision modes.
-fn query_mix(view: &WarehouseView) -> Vec<CubeQuery> {
-    let schema = view.schema();
-    let domain = schema.resolve_cat("URL.domain").expect("paper schema").1;
-    let grp = schema
-        .resolve_cat("URL.domain_grp")
-        .expect("paper schema")
-        .1;
-    vec![
-        CubeQuery {
-            pred: None,
-            mode: SelectMode::Conservative,
-            levels: vec![time_cat::MONTH, domain],
-            approach: AggApproach::Availability,
-        },
-        CubeQuery {
-            pred: Some(parse_pexp(schema, "URL.domain_grp = .com").expect("pexp parses")),
-            mode: SelectMode::Conservative,
-            levels: vec![time_cat::QUARTER, grp],
-            approach: AggApproach::Availability,
-        },
-        CubeQuery {
-            pred: Some(parse_pexp(schema, "Time.year <= 2001").expect("pexp parses")),
-            mode: SelectMode::Liberal,
-            levels: vec![time_cat::YEAR, grp],
-            approach: AggApproach::Lub,
-        },
-        CubeQuery {
-            pred: Some(
-                parse_pexp(schema, "URL.domain_grp = .com AND Time.quarter <= 2001Q4")
-                    .expect("pexp parses"),
-            ),
-            mode: SelectMode::Weighted { threshold: 0.5 },
-            levels: vec![time_cat::QUARTER, domain],
-            approach: AggApproach::Availability,
-        },
-    ]
 }
 
 /// The fixed evaluation days readers draw `NOW` from (results differ per
 /// day, so each observation records which one it used).
 const QUERY_DAYS: [(i32, u32, u32); 3] = [(2000, 9, 15), (2001, 6, 15), (2002, 3, 1)];
 
-fn run_query(
-    view: &WarehouseView,
-    q: &CubeQuery,
+/// One reader observation: which mix query ran against which published
+/// epoch and what the result's content digest was.
+#[derive(Debug, Clone, Copy)]
+struct Observation {
+    epoch: u64,
+    query: usize,
+    unsync: bool,
+    now: DayNum,
+    digest: u64,
+}
+
+/// Evaluates mix entry `query` at `now` against `set`.
+fn evaluate(
+    schema: &Arc<Schema>,
+    set: &ShardViewSet,
+    query: usize,
     now: DayNum,
     unsync: bool,
     parallel: bool,
-) -> Result<Mo, SubcubeError> {
+) -> Option<Mo> {
+    let spec = serve::mix_specs(now, unsync).swap_remove(query);
+    let q = spec.build(schema).ok()?;
     if unsync {
-        view.query_unsync(q, now, parallel)
+        set.query_unsync(&q, now, parallel).ok()
     } else {
-        view.query(q, now, parallel)
+        set.query(&q, now, parallel).ok()
     }
 }
 
-/// Applies one churn op to the shared manager. `Ok(true)` when the op
-/// published a new version, `Ok(false)` when the warehouse rejected it
+/// Applies one churn op through the router. `Ok(true)` when the op
+/// published a new set, `Ok(false)` when the warehouse rejected it
 /// (legal, nothing published).
-fn apply_churn(m: &SubcubeManager, op: &ChurnOp) -> Result<bool, SubcubeError> {
-    let r = match op {
-        ChurnOp::Load(mo) => m.bulk_load(mo).map(|_| ()),
-        ChurnOp::Sync(t) => m.sync(*t).map(|_| ()),
-        ChurnOp::SpecInsert(a) => m.evolve_insert(vec![a.clone()]).map(|_| ()),
-        ChurnOp::SpecDelete(id, t) => m.evolve_delete(&[*id], *t),
+fn apply_churn(r: &ShardRouter, op: &ChurnOp) -> Result<bool, SubcubeError> {
+    let res = match op {
+        ChurnOp::Load(mo) => r.bulk_load(mo).map(|_| ()),
+        ChurnOp::Sync(t) => r.sync(*t).map(|_| ()),
+        ChurnOp::SpecInsert(a) => r.spec_insert(vec![a.clone()]).map(|_| ()),
+        ChurnOp::SpecDelete(id, t) => r.spec_delete(&[*id], *t),
     };
-    match r {
+    match res {
         Ok(()) => Ok(true),
         // Spec-evolution rejections are part of a legal schedule; any
         // other error is a real failure the driver must surface.
@@ -198,125 +166,145 @@ fn apply_churn(m: &SubcubeManager, op: &ChurnOp) -> Result<bool, SubcubeError> {
     }
 }
 
-/// Runs the closed loop against a fresh warehouse seeded with the paper
-/// spec: writer churn + `cfg.readers` reader threads, then the torn-read
-/// audit. See the module docs for the guarantees checked.
-pub fn drive(spec: DataReductionSpec, cfg: &DriveConfig) -> Result<DriveReport, SubcubeError> {
-    let schema = Arc::clone(spec.schema());
-    let m = Arc::new(SubcubeManager::new(spec));
-    let script = churn_script(&schema, cfg.seed, cfg.steps);
+/// What one closed loop produced, before the audit.
+struct Loop {
+    /// `(epoch, content digest)` of every set the writer published.
+    published: Vec<(u64, u64)>,
+    /// Observations whose result matched no retained set of their epoch.
+    torn_reads: usize,
+    observations: usize,
+    mutations_ok: usize,
+    mutations_rejected: usize,
+}
 
-    // Every published version, retained for the post-join audit. The
-    // writer is the only mutator, so capturing `view()` right after a
-    // successful mutation observes exactly the version it published.
-    let published: Mutex<Vec<WarehouseView>> = Mutex::new(vec![m.view()]);
+/// The harness both drivers share: `readers` threads run `reader(i,
+/// done)` (which returns its observations once `done` is set and its
+/// quota is met) while this thread applies a seeded churn script through
+/// `router`, retaining every published set; then every observation is
+/// audited against the retained set of its epoch.
+fn closed_loop(
+    router: &ShardRouter,
+    seed: u64,
+    steps: usize,
+    readers: usize,
+    reader: impl Fn(usize, &AtomicBool) -> Vec<Observation> + Sync,
+) -> Result<Loop, SubcubeError> {
+    let schema = Arc::clone(router.schema());
+    let script = churn_script(&schema, seed, steps);
+    let mut published = vec![router.view_set()];
     let observations: Mutex<Vec<Observation>> = Mutex::new(Vec::new());
     let done = AtomicBool::new(false);
-    let mut mutations_ok = 0usize;
-    let mut mutations_rejected = 0usize;
-    let query_days: Vec<DayNum> = QUERY_DAYS
-        .iter()
-        .map(|&(y, mo_, d)| days_from_civil(y, mo_, d))
-        .collect();
-
-    let writer_err: Mutex<Option<SubcubeError>> = Mutex::new(None);
+    let (mut mutations_ok, mut mutations_rejected) = (0, 0);
+    let mut writer_err = None;
     std::thread::scope(|s| {
-        for r in 0..cfg.readers {
-            let m = Arc::clone(&m);
-            let done = &done;
-            let observations = &observations;
-            let query_days = &query_days;
-            let seed = cfg.seed;
-            let min_queries = cfg.min_queries_per_reader;
+        for r in 0..readers {
+            let (reader, done, observations) = (&reader, &done, &observations);
             s.spawn(move || {
-                let mut rng = SplitMix64(seed ^ 0x5EAD ^ (r as u64).wrapping_mul(0x9E37_79B9));
-                let mix = query_mix(&m.view());
-                let mut local = Vec::new();
-                let mut n = 0usize;
-                loop {
-                    // Acquire: pairs with the writer's Release store so a
-                    // reader that sees `done` also sees the final publish.
-                    let writer_active = !done.load(Ordering::Acquire);
-                    if !writer_active && n >= min_queries {
-                        break;
-                    }
-                    let qi = rng.below(mix.len() as u64) as usize;
-                    let now = query_days[rng.below(query_days.len() as u64) as usize];
-                    let unsync = rng.below(2) == 0;
-                    let parallel = rng.below(2) == 0;
-                    let view = m.view();
-                    if let Ok(res) = run_query(&view, &mix[qi], now, unsync, parallel) {
-                        local.push(Observation {
-                            epoch: view.epoch(),
-                            query: qi,
-                            unsync,
-                            now,
-                            digest: result_digest(&res),
-                        });
-                    }
-                    n += 1;
-                }
+                let local = reader(r, done);
                 observations.lock().unwrap().extend(local);
             });
         }
-        // Writer: apply the schedule, snapshotting after each publication.
+        // Writer: apply the schedule, retaining each published set. The
+        // writer is the only mutator, so the set read right after a
+        // successful mutation is exactly the one it published.
         for op in &script {
-            match apply_churn(&m, op) {
+            match apply_churn(router, op) {
                 Ok(true) => {
                     mutations_ok += 1;
-                    published.lock().unwrap().push(m.view());
+                    published.push(router.view_set());
                 }
                 Ok(false) => mutations_rejected += 1,
                 Err(e) => {
-                    *writer_err.lock().unwrap() = Some(e);
+                    writer_err = Some(e);
                     break;
                 }
             }
         }
         // Release: readers' Acquire loads of `done` must also observe
-        // every version published before the writer finished.
+        // every set published before the writer finished.
         done.store(true, Ordering::Release);
     });
-    if let Some(e) = writer_err.into_inner().unwrap() {
+    if let Some(e) = writer_err {
         return Err(e);
     }
 
-    // Audit: re-evaluate every observation against the retained view of
-    // the epoch it read. Sequential evaluation (parallel=false) is the
-    // reference; the digest is order-insensitive so it matches both.
-    let published = published.into_inner().unwrap();
-    let by_epoch: std::collections::HashMap<u64, &WarehouseView> =
-        published.iter().map(|v| (v.epoch(), v)).collect();
+    // Audit: re-evaluate every observation against the retained set of
+    // the epoch it read. Sequential evaluation is the reference; the
+    // digest is order-insensitive so it matches parallel results too.
+    let by_epoch: std::collections::HashMap<u64, &ShardViewSet> =
+        published.iter().map(|v| (v.epoch(), v.as_ref())).collect();
     let observations = observations.into_inner().unwrap();
-    let mix0 = query_mix(&published[0]);
-    let mut torn = 0usize;
-    for ob in &observations {
-        let Some(view) = by_epoch.get(&ob.epoch) else {
-            torn += 1; // read an epoch that was never published
-            continue;
-        };
-        match run_query(view, &mix0[ob.query], ob.now, ob.unsync, false) {
-            Ok(expect) if result_digest(&expect) == ob.digest => {}
-            _ => torn += 1,
-        }
-    }
-
-    let published: Vec<(u64, u64)> = published
+    let torn_reads = observations
         .iter()
-        .map(|v| (v.epoch(), view_digest(v)))
-        .collect();
+        .filter(|ob| {
+            let expect = by_epoch
+                .get(&ob.epoch)
+                .and_then(|set| evaluate(&schema, set, ob.query, ob.now, ob.unsync, false));
+            !matches!(expect, Some(mo) if result_digest(&mo) == ob.digest)
+        })
+        .count();
+    Ok(Loop {
+        published: published
+            .iter()
+            .map(|v| (v.epoch(), set_digest(v)))
+            .collect(),
+        torn_reads,
+        observations: observations.len(),
+        mutations_ok,
+        mutations_rejected,
+    })
+}
+
+fn query_days() -> Vec<DayNum> {
+    QUERY_DAYS
+        .iter()
+        .map(|&(y, mo_, d)| days_from_civil(y, mo_, d))
+        .collect()
+}
+
+/// Runs the closed loop against a fresh in-memory warehouse seeded with
+/// `spec`: writer churn + `cfg.readers` in-process reader threads, then
+/// the torn-read audit. See the module docs for the guarantees checked.
+pub fn drive(spec: DataReductionSpec, cfg: &DriveConfig) -> Result<DriveReport, SubcubeError> {
+    let router = ShardRouter::in_memory(spec);
+    let schema = Arc::clone(router.schema());
+    let query_days = query_days();
+    let lp = closed_loop(&router, cfg.seed, cfg.steps, cfg.readers, |r, done| {
+        let mut rng = SplitMix64(cfg.seed ^ 0x5EAD ^ (r as u64).wrapping_mul(0x9E37_79B9));
+        let mut local = Vec::new();
+        let mut n = 0usize;
+        // Acquire: pairs with the writer's Release store so a reader
+        // that sees `done` also sees the final publish.
+        while !done.load(Ordering::Acquire) || n < cfg.min_queries_per_reader {
+            let now = query_days[rng.below(query_days.len() as u64) as usize];
+            let unsync = rng.below(2) == 0;
+            let query = rng.below(serve::mix_specs(now, unsync).len() as u64) as usize;
+            let parallel = rng.below(2) == 0;
+            let set = router.view_set();
+            if let Some(res) = evaluate(&schema, &set, query, now, unsync, parallel) {
+                local.push(Observation {
+                    epoch: set.epoch(),
+                    query,
+                    unsync,
+                    now,
+                    digest: result_digest(&res),
+                });
+            }
+            n += 1;
+        }
+        local
+    })?;
     let mut schedule_digest: u64 = 0xcbf2_9ce4_8422_2325;
-    for &(e, d) in &published {
+    for &(e, d) in &lp.published {
         schedule_digest ^= e.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ d;
         schedule_digest = schedule_digest.wrapping_mul(0x0000_0100_0000_01b3);
     }
-
     Ok(DriveReport {
-        published,
-        observations: observations.len(),
-        torn_reads: torn,
-        mutations_ok,
-        mutations_rejected,
+        published: lp.published,
+        observations: lp.observations,
+        torn_reads: lp.torn_reads,
+        mutations_ok: lp.mutations_ok,
+        mutations_rejected: lp.mutations_rejected,
         schedule_digest,
     })
 }
@@ -382,43 +370,6 @@ pub fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-/// Content digest of a whole published shard set (every shard's cubes,
-/// in shard/cube order).
-fn set_digest(set: &ShardViewSet) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in set.views() {
-        h ^= view_digest(v);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Applies one churn op through the shard router. `Ok(true)` when the op
-/// published a new version across all shards.
-fn apply_churn_sharded(r: &ShardRouter, op: &ChurnOp) -> Result<bool, SubcubeError> {
-    let res = match op {
-        ChurnOp::Load(mo) => r.bulk_load(mo).map(|_| ()),
-        ChurnOp::Sync(t) => r.sync(*t).map(|_| ()),
-        ChurnOp::SpecInsert(a) => r.spec_insert(vec![a.clone()]).map(|_| ()),
-        ChurnOp::SpecDelete(id, t) => r.spec_delete(&[*id], *t),
-    };
-    match res {
-        Ok(()) => Ok(true),
-        Err(SubcubeError::Reduce(_)) => Ok(false),
-        Err(e) => Err(e),
-    }
-}
-
-/// One wire observation, as parsed out of a query response frame.
-#[derive(Debug, Clone, Copy)]
-struct WireObservation {
-    epoch: u64,
-    query: usize,
-    unsync: bool,
-    now: DayNum,
-    digest: u64,
-}
-
 /// Runs the multi-client load generator against a live `specdr serve`
 /// daemon at `addr`, while a local writer thread churns the same
 /// [`ShardRouter`] the daemon serves from.
@@ -435,166 +386,73 @@ pub fn drive_socket(
     addr: SocketAddr,
     cfg: &SocketDriveConfig,
 ) -> Result<SocketDriveReport, SubcubeError> {
-    let schema = Arc::clone(router.schema());
-    let script = churn_script(&schema, cfg.seed, cfg.steps);
-
-    let published: Mutex<Vec<Arc<ShardViewSet>>> = Mutex::new(vec![router.view_set()]);
-    let observations: Mutex<Vec<WireObservation>> = Mutex::new(Vec::new());
     let latencies: Mutex<Vec<u64>> = Mutex::new(Vec::new());
-    let proto_errors = std::sync::atomic::AtomicUsize::new(0);
-    let transport_errors = std::sync::atomic::AtomicUsize::new(0);
-    let done = AtomicBool::new(false);
-    let mut mutations_ok = 0usize;
-    let mut mutations_rejected = 0usize;
-    let query_days: Vec<DayNum> = QUERY_DAYS
-        .iter()
-        .map(|&(y, mo_, d)| days_from_civil(y, mo_, d))
-        .collect();
-
-    let writer_err: Mutex<Option<SubcubeError>> = Mutex::new(None);
-    std::thread::scope(|s| {
-        for c in 0..cfg.clients {
-            let done = &done;
-            let observations = &observations;
-            let latencies = &latencies;
-            let proto_errors = &proto_errors;
-            let transport_errors = &transport_errors;
-            let query_days = &query_days;
-            let seed = cfg.seed;
-            let min_queries = cfg.min_queries_per_client;
-            let timeout = cfg.timeout;
-            s.spawn(move || {
-                let mut rng = SplitMix64(seed ^ 0x50C4E7 ^ (c as u64).wrapping_mul(0x9E37_79B9));
-                let Ok(stream) = TcpStream::connect_timeout(&addr, timeout) else {
-                    // relaxed-ok: monotonic error counter, read only after join.
-                    transport_errors.fetch_add(1, Ordering::Relaxed);
-                    return;
-                };
-                let mut local = Vec::new();
-                let mut local_lat = Vec::new();
-                let mut n = 0usize;
-                loop {
-                    // Acquire: pairs with the writer's Release store so a
-                    // reader that sees `done` also sees the final publish.
-                    let writer_active = !done.load(Ordering::Acquire);
-                    if !writer_active && n >= min_queries {
-                        break;
-                    }
-                    let now = query_days[rng.below(query_days.len() as u64) as usize];
-                    let unsync = rng.below(2) == 0;
-                    let mix = serve::mix_specs(now, unsync);
-                    let qi = rng.below(mix.len() as u64) as usize;
-                    let payload = serve::query_payload(&mix[qi]);
-                    let t0 = Instant::now();
-                    match serve::request_on(&stream, &payload, timeout) {
-                        Ok(resp) => {
-                            local_lat.push(t0.elapsed().as_nanos() as u64);
-                            match serve::split_response(&resp) {
-                                Ok((serve::RESP_OK, body)) => {
-                                    let body = String::from_utf8_lossy(body);
-                                    let parsed = (|| {
-                                        let epoch: u64 =
-                                            serve::response_field(&body, "epoch")?.parse().ok()?;
-                                        let digest = serve::response_field(&body, "digest")?;
-                                        let digest =
-                                            u64::from_str_radix(digest.strip_prefix("0x")?, 16)
-                                                .ok()?;
-                                        Some((epoch, digest))
-                                    })();
-                                    match parsed {
-                                        Some((epoch, digest)) => local.push(WireObservation {
-                                            epoch,
-                                            query: qi,
-                                            unsync,
-                                            now,
-                                            digest,
-                                        }),
-                                        None => {
-                                            // relaxed-ok: monotonic error counter, read only after join.
-                                            proto_errors.fetch_add(1, Ordering::Relaxed);
-                                        }
-                                    }
-                                }
-                                _ => {
-                                    // relaxed-ok: monotonic error counter, read only after join.
-                                    proto_errors.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                        }
-                        Err(_) => {
-                            // relaxed-ok: monotonic error counter, read only after join.
-                            transport_errors.fetch_add(1, Ordering::Relaxed);
-                            break; // the stream is no longer trustworthy
-                        }
-                    }
-                    n += 1;
-                }
-                observations.lock().unwrap().extend(local);
-                latencies.lock().unwrap().extend(local_lat);
-            });
-        }
-        for op in &script {
-            match apply_churn_sharded(&router, op) {
-                Ok(true) => {
-                    mutations_ok += 1;
-                    published.lock().unwrap().push(router.view_set());
-                }
-                Ok(false) => mutations_rejected += 1,
-                Err(e) => {
-                    *writer_err.lock().unwrap() = Some(e);
-                    break;
-                }
-            }
-        }
-        // Release: readers' Acquire loads of `done` must also observe
-        // every version published before the writer finished.
-        done.store(true, Ordering::Release);
-    });
-    if let Some(e) = writer_err.into_inner().unwrap() {
-        return Err(e);
-    }
-
-    // Audit: rebuild each query from the same textual spec the client
-    // sent and evaluate it against the retained set of the epoch the
-    // response claimed — the daemon and the audit share one compiler
-    // ([`serve::QuerySpec::build`]), so digests are directly comparable.
-    let published = published.into_inner().unwrap();
-    let by_epoch: std::collections::HashMap<u64, &Arc<ShardViewSet>> =
-        published.iter().map(|v| (v.epoch(), v)).collect();
-    let observations = observations.into_inner().unwrap();
-    let mut torn = 0usize;
-    for ob in &observations {
-        let Some(set) = by_epoch.get(&ob.epoch) else {
-            torn += 1;
-            continue;
+    let proto_errors = AtomicUsize::new(0);
+    let transport_errors = AtomicUsize::new(0);
+    let query_days = query_days();
+    let lp = closed_loop(&router, cfg.seed, cfg.steps, cfg.clients, |c, done| {
+        let mut rng = SplitMix64(cfg.seed ^ 0x50C4E7 ^ (c as u64).wrapping_mul(0x9E37_79B9));
+        let mut local = Vec::new();
+        let Ok(stream) = TcpStream::connect_timeout(&addr, cfg.timeout) else {
+            // relaxed-ok: monotonic error counter, read only after join.
+            transport_errors.fetch_add(1, Ordering::Relaxed);
+            return local;
         };
-        let spec = serve::mix_specs(ob.now, ob.unsync).swap_remove(ob.query);
-        let expect = spec.build(&schema).ok().and_then(|q| {
-            if ob.unsync {
-                set.query_unsync(&q, ob.now, false).ok()
-            } else {
-                set.query(&q, ob.now, false).ok()
+        let mut local_lat = Vec::new();
+        let mut n = 0usize;
+        // Acquire: pairs with the writer's Release store so a reader
+        // that sees `done` also sees the final publish.
+        while !done.load(Ordering::Acquire) || n < cfg.min_queries_per_client {
+            let now = query_days[rng.below(query_days.len() as u64) as usize];
+            let unsync = rng.below(2) == 0;
+            let mix = serve::mix_specs(now, unsync);
+            let query = rng.below(mix.len() as u64) as usize;
+            let payload = serve::query_payload(&mix[query]);
+            let t0 = Instant::now();
+            let Ok(resp) = serve::request_on(&stream, &payload, cfg.timeout) else {
+                // relaxed-ok: monotonic error counter, read only after join.
+                transport_errors.fetch_add(1, Ordering::Relaxed);
+                break; // the stream is no longer trustworthy
+            };
+            local_lat.push(t0.elapsed().as_nanos() as u64);
+            let parsed = match serve::split_response(&resp) {
+                Ok((serve::RESP_OK, body)) => {
+                    let body = String::from_utf8_lossy(body);
+                    (|| {
+                        let epoch: u64 = serve::response_field(&body, "epoch")?.parse().ok()?;
+                        let digest = serve::response_field(&body, "digest")?;
+                        let digest = u64::from_str_radix(digest.strip_prefix("0x")?, 16).ok()?;
+                        Some((epoch, digest))
+                    })()
+                }
+                _ => None,
+            };
+            match parsed {
+                Some((epoch, digest)) => local.push(Observation {
+                    epoch,
+                    query,
+                    unsync,
+                    now,
+                    digest,
+                }),
+                None => {
+                    // relaxed-ok: monotonic error counter, read only after join.
+                    proto_errors.fetch_add(1, Ordering::Relaxed);
+                }
             }
-        });
-        match expect {
-            Some(mo) if result_digest(&mo) == ob.digest => {}
-            _ => torn += 1,
+            n += 1;
         }
-    }
-
-    let published: Vec<(u64, u64)> = published
-        .iter()
-        .map(|v| (v.epoch(), set_digest(v)))
-        .collect();
+        latencies.lock().unwrap().extend(local_lat);
+        local
+    })?;
     let mut latency_ns = latencies.into_inner().unwrap();
     latency_ns.sort_unstable();
-
     Ok(SocketDriveReport {
-        published,
-        observations: observations.len(),
-        torn_reads: torn,
-        mutations_ok,
-        mutations_rejected,
+        published: lp.published,
+        observations: lp.observations,
+        torn_reads: lp.torn_reads,
+        mutations_ok: lp.mutations_ok,
+        mutations_rejected: lp.mutations_rejected,
         proto_errors: proto_errors.into_inner(),
         transport_errors: transport_errors.into_inner(),
         latency_ns,

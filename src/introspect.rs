@@ -1,8 +1,9 @@
 //! Warehouse introspection: `specdr explain` and `specdr profile`.
 //!
 //! Runs one operation — a subcube query or a synchronization (reduction)
-//! pass — with the `sdr-obs` registry recording, then assembles an
-//! [`Introspection`]: the subcube DAG annotated with each cube's exact
+//! pass — on a [`ShardRouter`] with the `sdr-obs` registry recording,
+//! then assembles an [`Introspection`]: shard 0's subcube DAG (the whole
+//! warehouse at N = 1) annotated with each cube's exact
 //! [`SubcubeStats`](crate::subcube::SubcubeStats) (rows, bytes, distinct
 //! values, zone map, epoch), which cubes the operation scanned and which
 //! were skippable (their selection matched nothing), memoization hits,
@@ -22,7 +23,7 @@ use std::sync::Arc;
 
 use sdr_mdm::{DayNum, Mo};
 use sdr_obs::Snapshot;
-use sdr_subcube::{AgeStats, CubeQuery, SubcubeError, SubcubeManager, SyncStats};
+use sdr_subcube::{AgeStats, CubeQuery, ShardRouter, ShardViewSet, SubcubeError, SyncStats};
 
 /// One cube of the warehouse DAG, annotated for explain output.
 #[derive(Debug, Clone)]
@@ -174,7 +175,7 @@ fn dag_of(view: &sdr_subcube::WarehouseView) -> Vec<CubeReport> {
         .collect()
 }
 
-/// Explains a query: evaluates `q` on the manager with tracing on and
+/// Explains a query: evaluates `q` on the warehouse with tracing on and
 /// returns the answer plus the annotated report. Scanned/output counts
 /// per cube come from the `subcube.query.subquery` span attributes; a
 /// scanned cube that contributed no rows is marked skippable. Each cube
@@ -182,20 +183,20 @@ fn dag_of(view: &sdr_subcube::WarehouseView) -> Vec<CubeReport> {
 /// skip reason) — planning is deterministic, so the report's plan is the
 /// one the evaluation followed.
 pub fn explain_query(
-    mgr: &SubcubeManager,
+    wh: &ShardRouter,
     q: &CubeQuery,
     now: DayNum,
     parallel: bool,
 ) -> Result<(Mo, Introspection), SubcubeError> {
-    let (answer, snap) = recorded(|| mgr.query(q, now, parallel))?;
-    let view = mgr.view();
-    let mut cubes = dag_of(&view);
+    let set = wh.view_set();
+    let (answer, snap) = recorded(|| set.query(q, now, parallel))?;
+    let mut cubes = dag_of(&set.views()[0]);
     annotate_query_scans(&mut cubes, &snap);
-    annotate_plan(&mut cubes, mgr, &view, q, now);
+    annotate_plan(&mut cubes, &set, q, now);
     let report = Introspection {
         op: "query".into(),
         now,
-        epoch: view.epoch(),
+        epoch: set.epoch(),
         result_rows: answer.len() as u64,
         cubes,
         phases: phases_of(&snap),
@@ -237,15 +238,8 @@ fn annotate_query_scans(cubes: &mut [CubeReport], snap: &Snapshot) {
 /// Re-plans `q` against `view` (planning is deterministic and
 /// side-effect-free) and stamps each cube with the verdict and cost the
 /// evaluation used.
-fn annotate_plan(
-    cubes: &mut [CubeReport],
-    mgr: &SubcubeManager,
-    view: &sdr_subcube::WarehouseView,
-    q: &CubeQuery,
-    now: DayNum,
-) {
-    let oracle = mgr.region_oracle(view);
-    let plan = view.plan(q, now, oracle.as_ref());
+fn annotate_plan(cubes: &mut [CubeReport], set: &ShardViewSet, q: &CubeQuery, now: DayNum) {
+    let plan = set.views()[0].plan(q, now, set.oracle(0));
     for (c, p) in cubes.iter_mut().zip(&plan.cubes) {
         match p.decision {
             sdr_plan::Decision::Scan { cost } => {
@@ -265,24 +259,24 @@ fn annotate_plan(
 /// reduction kernel, the sync scan/rebuild, and the query fan-out side
 /// by side. Cube scan annotations come from the query half.
 pub fn profile(
-    mgr: &SubcubeManager,
+    wh: &ShardRouter,
     q: &CubeQuery,
     now: DayNum,
     parallel: bool,
 ) -> Result<(SyncStats, Mo, Introspection), SubcubeError> {
     let ((stats, answer), snap) = recorded(|| {
-        let s = mgr.sync(now)?;
-        let a = mgr.query(q, now, parallel)?;
+        let s = wh.sync(now)?;
+        let a = wh.query(q, now, parallel)?;
         Ok((s, a))
     })?;
-    let view = mgr.view();
-    let mut cubes = dag_of(&view);
+    let set = wh.view_set();
+    let mut cubes = dag_of(&set.views()[0]);
     annotate_query_scans(&mut cubes, &snap);
-    annotate_plan(&mut cubes, mgr, &view, q, now);
+    annotate_plan(&mut cubes, &set, q, now);
     let report = Introspection {
         op: "profile".into(),
         now,
-        epoch: view.epoch(),
+        epoch: set.epoch(),
         result_rows: answer.len() as u64,
         cubes,
         phases: phases_of(&snap),
@@ -292,16 +286,17 @@ pub fn profile(
 }
 
 /// Explains a reduction (synchronization) pass: runs
-/// [`SubcubeManager::sync`] at `now` with tracing on and reports the
+/// [`ShardRouter::sync`] at `now` with tracing on and reports the
 /// post-sync DAG. Every cube is scanned by a sync pass; `rows_out` is
 /// each cube's post-sync row count.
 pub fn explain_sync(
-    mgr: &SubcubeManager,
+    wh: &ShardRouter,
     now: DayNum,
 ) -> Result<(SyncStats, Introspection), SubcubeError> {
-    let (stats, snap) = recorded(|| mgr.sync(now))?;
-    let view = mgr.view();
-    let mut cubes = dag_of(&view);
+    let (stats, snap) = recorded(|| wh.sync(now))?;
+    let set = wh.view_set();
+    let view = &set.views()[0];
+    let mut cubes = dag_of(view);
     for c in &mut cubes {
         c.scanned = true;
         c.rows_out = c.rows;
@@ -310,8 +305,8 @@ pub fn explain_sync(
     let report = Introspection {
         op: "sync".into(),
         now,
-        epoch: view.epoch(),
-        result_rows: view.len() as u64,
+        epoch: set.epoch(),
+        result_rows: set.len() as u64,
         cubes,
         phases: phases_of(&snap),
         snapshot: snap,
@@ -319,7 +314,7 @@ pub fn explain_sync(
     Ok((stats, report))
 }
 
-/// Runs one incremental aging pass ([`SubcubeManager::age`]) with
+/// Runs one incremental aging pass ([`ShardRouter::age`]) with
 /// tracing on and assembles its introspection report. The phase table
 /// separates the scheduler (`subcube.age.schedule`), the per-transition
 /// ticks (`subcube.age.tick`) with their summed `rows_in`/`rows_out`,
@@ -328,12 +323,13 @@ pub fn explain_sync(
 /// so the report shows exactly how much work the incremental path did
 /// compared to a from-scratch synchronization.
 pub fn explain_age(
-    mgr: &SubcubeManager,
+    wh: &ShardRouter,
     until: DayNum,
 ) -> Result<(AgeStats, Introspection), SubcubeError> {
-    let (stats, snap) = recorded(|| mgr.age(until))?;
-    let view = mgr.view();
-    let mut cubes = dag_of(&view);
+    let (stats, snap) = recorded(|| wh.age(until))?;
+    let set = wh.view_set();
+    let view = &set.views()[0];
+    let mut cubes = dag_of(view);
     for c in &mut cubes {
         c.scanned = true;
         c.rows_out = c.rows;
@@ -342,8 +338,8 @@ pub fn explain_age(
     let report = Introspection {
         op: "age".into(),
         now: until,
-        epoch: view.epoch(),
-        result_rows: view.len() as u64,
+        epoch: set.epoch(),
+        result_rows: set.len() as u64,
         cubes,
         phases: phases_of(&snap),
         snapshot: snap,
@@ -517,12 +513,12 @@ mod tests {
     /// The tests toggle the process-global registry; serialize them.
     static REGISTRY: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-    fn warehouse() -> SubcubeManager {
+    fn warehouse() -> ShardRouter {
         let (mo, _) = paper_mo();
         let schema = Arc::clone(mo.schema());
         let a1 = parse_action(&schema, ACTION_A1).unwrap();
         let a2 = parse_action(&schema, ACTION_A2).unwrap();
-        let m = SubcubeManager::new(DataReductionSpec::new(schema, vec![a1, a2]).unwrap());
+        let m = ShardRouter::in_memory(DataReductionSpec::new(schema, vec![a1, a2]).unwrap());
         m.bulk_load(&paper_mo().0).unwrap();
         m
     }
@@ -544,7 +540,7 @@ mod tests {
         assert!(!sdr_obs::enabled(), "registry state restored");
         assert_eq!(report.op, "query");
         assert_eq!(report.result_rows, answer.len() as u64);
-        assert_eq!(report.cubes.len(), m.n_cubes());
+        assert_eq!(report.cubes.len(), m.view_set().views()[0].cubes().len());
         for c in &report.cubes {
             // Every cube is either evaluated or provably irrelevant —
             // and the planner's verdict agrees with what actually ran.
@@ -581,9 +577,9 @@ mod tests {
         assert_eq!(report.op, "sync");
         assert!(stats.migrated > 0);
         let paths: Vec<&str> = report.phases.iter().map(|p| p.path.as_str()).collect();
-        assert!(paths.contains(&"subcube.sync"), "{paths:?}");
+        assert!(paths.contains(&"shard.sync/subcube.sync"), "{paths:?}");
         assert!(
-            paths.contains(&"subcube.sync/subcube.sync.scan"),
+            paths.contains(&"shard.sync/subcube.sync/subcube.sync.scan"),
             "{paths:?}"
         );
         // The span attributes agree with the stats the call returned:
@@ -592,13 +588,13 @@ mod tests {
         let scan = report
             .phases
             .iter()
-            .find(|p| p.path == "subcube.sync/subcube.sync.scan")
+            .find(|p| p.path == "shard.sync/subcube.sync/subcube.sync.scan")
             .unwrap();
         assert_eq!(scan.rows_in, (stats.kept + stats.migrated) as u64);
         let sync = report
             .phases
             .iter()
-            .find(|p| p.path == "subcube.sync")
+            .find(|p| p.path == "shard.sync/subcube.sync")
             .unwrap();
         assert_eq!(sync.rows_out, report.result_rows);
         assert_eq!(

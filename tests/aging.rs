@@ -1,5 +1,5 @@
 //! Continuous-aging suite: the incremental scheduler and aging engine
-//! (`ReductionSchedule` + `SubcubeManager::age`) proven equal to
+//! (`ReductionSchedule` + `ShardRouter::age`) proven equal to
 //! from-scratch reduction at every tick.
 //!
 //! * Schedule goldens: the precomputed transition days match a
@@ -23,7 +23,7 @@ use specdr::mdm::{DayNum, Schema};
 use specdr::prover::Region;
 use specdr::reduce::{DataReductionSpec, ReductionSchedule};
 use specdr::spec::{eval_pred, ground_conj, parse_action, parse_actions, to_dnf, Pexp};
-use specdr::subcube::{SubcubeManager, SubcubeStats};
+use specdr::subcube::{ShardRouter, SubcubeStats};
 use specdr::workload::{aging_script, generate, paper_mo, ClickstreamConfig, ACTION_A1, ACTION_A2};
 
 fn spec_from_sources(schema: &Arc<Schema>, srcs: &[String]) -> DataReductionSpec {
@@ -45,8 +45,8 @@ fn paper_spec() -> (DataReductionSpec, specdr::mdm::Mo) {
 /// Sorted rendering of every fact in the warehouse — the full-MO digest
 /// the differential assertions compare (row order inside a cube is not
 /// observable through queries, so the digest must not depend on it).
-fn digest(m: &SubcubeManager) -> Vec<String> {
-    let whole = m.to_mo().unwrap();
+fn digest(m: &ShardRouter) -> Vec<String> {
+    let whole = m.view_set().to_mo().unwrap();
     let mut r: Vec<String> = whole.facts().map(|f| whole.render_fact(f)).collect();
     r.sort();
     r
@@ -55,8 +55,8 @@ fn digest(m: &SubcubeManager) -> Vec<String> {
 /// Per-subcube stats with the epoch stamp masked: an aged warehouse
 /// carries untouched cubes forward without republishing them, so their
 /// `last_epoch` legitimately differs from a fresh manager's.
-fn masked_stats(m: &SubcubeManager) -> Vec<SubcubeStats> {
-    m.view()
+fn masked_stats(m: &ShardRouter) -> Vec<SubcubeStats> {
+    m.view_set().views()[0]
         .cubes()
         .iter()
         .map(|c| {
@@ -208,7 +208,7 @@ fn differential_run(seed: u64) {
     let script = aging_script(seed);
     let schema = Arc::clone(&script.cs.schema);
     let spec = spec_from_sources(&schema, &script.actions);
-    let aged = SubcubeManager::new(spec.clone());
+    let aged = ShardRouter::in_memory(spec.clone());
     aged.bulk_load(&script.cs.mo).unwrap();
     aged.sync(script.data_end).unwrap();
 
@@ -224,7 +224,7 @@ fn differential_run(seed: u64) {
         let stats = aged.age(t).unwrap();
         assert_eq!(stats.ticks, 1, "seed {seed}: one transition per step");
         skipped_total += stats.cubes_skipped;
-        let fresh = SubcubeManager::new(spec.clone());
+        let fresh = ShardRouter::in_memory(spec.clone());
         fresh.bulk_load(&script.cs.mo).unwrap();
         fresh.sync(t).unwrap();
         assert_eq!(
@@ -240,7 +240,7 @@ fn differential_run(seed: u64) {
     }
     // Incrementality was real: untouched cubes were carried forward.
     assert!(skipped_total > 0, "seed {seed}: no cube ever skipped");
-    aged.verify_stats().unwrap();
+    aged.view_set().views()[0].verify_stats().unwrap();
 }
 
 #[test]
@@ -281,12 +281,12 @@ proptest! {
             .map(|(_, &t)| t)
             .collect();
 
-        let jump = SubcubeManager::new(spec.clone());
+        let jump = ShardRouter::in_memory(spec.clone());
         jump.bulk_load(&mo).unwrap();
         jump.sync(baseline).unwrap();
         jump.age(target).unwrap();
 
-        let stepped = SubcubeManager::new(spec.clone());
+        let stepped = ShardRouter::in_memory(spec.clone());
         stepped.bulk_load(&mo).unwrap();
         stepped.sync(baseline).unwrap();
         for &t in &stops {
@@ -296,7 +296,7 @@ proptest! {
         prop_assert_eq!(digest(&jump), digest(&stepped));
         prop_assert_eq!(masked_stats(&jump), masked_stats(&stepped));
 
-        let fresh = SubcubeManager::new(spec);
+        let fresh = ShardRouter::in_memory(spec);
         fresh.bulk_load(&mo).unwrap();
         fresh.sync(target).unwrap();
         prop_assert_eq!(digest(&jump), digest(&fresh));

@@ -1,4 +1,5 @@
-//! Crash-recovery test matrix for the durable warehouse.
+//! Crash-recovery test matrix for the durable warehouse (a one-shard
+//! `ShardRouter`; its shard lives under `shard-000/`).
 //!
 //! The contract under test (see `crates/subcube/src/durable.rs`): an
 //! operation that returned `Ok` survives any later crash; an operation
@@ -12,7 +13,7 @@
 //! from a run that never crashed.
 
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use specdr::mdm::calendar::days_from_civil;
@@ -20,7 +21,7 @@ use specdr::mdm::{time_cat as tc, DimValue, Mo, Schema, TimeValue};
 use specdr::reduce::{DataReductionSpec, ReductionSchedule};
 use specdr::spec::{parse_action, ActionId, ActionSpec};
 use specdr::storage::fs::{FailpointFs, FaultMode, Fs, RealFs};
-use specdr::subcube::{DurableWarehouse, SubcubeManager, SubcubeStats, SyncStats};
+use specdr::subcube::{read_manifest, ShardRouter, SubcubeStats, SyncStats, WarehouseOp};
 use specdr::workload::{paper_mo, ACTION_A1, ACTION_A2};
 
 /// One logical warehouse operation of a test workload.
@@ -43,7 +44,7 @@ impl Op {
         !matches!(self, Op::Ckpt)
     }
 
-    fn apply_durable(&self, w: &mut DurableWarehouse) -> Result<(), specdr::subcube::SubcubeError> {
+    fn apply(&self, w: &ShardRouter) -> Result<(), specdr::subcube::SubcubeError> {
         match self {
             Op::Load(mo) => w.bulk_load(mo).map(|_| ()),
             Op::Sync(t) => w.sync(*t).map(|_| ()),
@@ -51,25 +52,6 @@ impl Op {
             Op::SpecInsert(a) => w.spec_insert(a.clone()).map(|_| ()),
             Op::SpecDelete(ids, t) => w.spec_delete(ids, *t),
             Op::Ckpt => w.checkpoint().map(|_| ()),
-        }
-    }
-
-    fn apply_plain(&self, m: &SubcubeManager) {
-        match self {
-            Op::Load(mo) => {
-                m.bulk_load(mo).unwrap();
-            }
-            Op::Sync(t) => {
-                m.sync(*t).unwrap();
-            }
-            Op::Age(t) => {
-                m.age(*t).unwrap();
-            }
-            Op::SpecInsert(a) => {
-                m.evolve_insert(a.clone()).unwrap();
-            }
-            Op::SpecDelete(ids, t) => m.evolve_delete(ids, *t).unwrap(),
-            Op::Ckpt => {}
         }
     }
 }
@@ -107,23 +89,36 @@ fn single_fact(schema: &Arc<Schema>, day: i32, url_idx: usize, measures: [i64; 4
     mo
 }
 
-/// The never-crashed run: the same logical ops on a plain manager.
-fn reference(spec: &DataReductionSpec, ops: &[Op]) -> SubcubeManager {
-    let m = SubcubeManager::new(spec.clone());
+/// The never-crashed run: the same logical ops on an in-memory
+/// warehouse.
+fn reference(spec: &DataReductionSpec, ops: &[Op]) -> ShardRouter {
+    let m = ShardRouter::in_memory(spec.clone());
     for op in ops {
-        op.apply_plain(&m);
+        op.apply(&m).unwrap();
     }
     m
 }
 
+/// True once `dir` holds an established warehouse (`SHARDS` is written
+/// last by `create`).
+fn established(dir: &Path) -> bool {
+    dir.join("SHARDS").exists()
+}
+
+/// Recovers `dir` on the real filesystem.
+fn recover(spec: &DataReductionSpec, dir: &Path) -> ShardRouter {
+    ShardRouter::recover(spec.clone(), dir).unwrap().0
+}
+
 /// Warehouse state rendered for equality: sorted whole-MO facts, per-cube
 /// granularity + sorted facts, and `last_sync`.
-fn state(m: &SubcubeManager) -> (Vec<String>, Vec<String>, Option<i32>) {
-    let whole = m.to_mo().unwrap();
+fn state(m: &ShardRouter) -> (Vec<String>, Vec<String>, Option<i32>) {
+    let set = m.view_set();
+    let whole = set.to_mo().unwrap();
     let mut facts: Vec<String> = whole.facts().map(|f| whole.render_fact(f)).collect();
     facts.sort();
     let mut cubes = Vec::new();
-    let v = m.view();
+    let v = &set.views()[0];
     for (i, c) in v.cubes().iter().enumerate() {
         let data = c.data();
         let mut rows: Vec<String> = data.facts().map(|f| data.render_fact(f)).collect();
@@ -141,12 +136,12 @@ fn run_workload(
     fs: Arc<dyn Fs>,
     ops: &[Op],
 ) -> u64 {
-    let Ok(mut w) = DurableWarehouse::create_with_fs(spec.clone(), dir, fs) else {
+    let Ok(w) = ShardRouter::create_with_fs(spec.clone(), dir, 1, fs) else {
         return 0;
     };
     let mut acked = 0;
     for op in ops {
-        if op.apply_durable(&mut w).is_err() {
+        if op.apply(&w).is_err() {
             break;
         }
         if op.is_logged() {
@@ -166,17 +161,17 @@ fn recover_and_verify(
     acked: u64,
     ctx: &str,
 ) -> (Vec<String>, Vec<String>, Option<i32>) {
-    if !dir.join("CURRENT").exists() {
+    if !established(dir) {
         // The warehouse was never established — only possible when not a
         // single operation was acknowledged.
         assert_eq!(
             acked, 0,
-            "{ctx}: CURRENT missing but {acked} ops were acknowledged"
+            "{ctx}: SHARDS missing but {acked} ops were acknowledged"
         );
         let m = reference(spec, ops);
         return state(&m);
     }
-    let (mut w, report) = DurableWarehouse::recover_with_fs(spec.clone(), dir, RealFs::shared())
+    let (w, report) = ShardRouter::recover(spec.clone(), dir)
         .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
     // Durability accounting: everything acknowledged is durable; at most
     // one in-flight operation (applied + logged, error returned after the
@@ -196,10 +191,10 @@ fn recover_and_verify(
         if !op.is_logged() {
             continue;
         }
-        op.apply_durable(&mut w)
+        op.apply(&w)
             .unwrap_or_else(|e| panic!("{ctx}: re-applying suffix failed: {e}"));
     }
-    let got = state(w.manager());
+    let got = state(&w);
     let want = state(&reference(spec, ops));
     assert_eq!(
         got, want,
@@ -209,8 +204,8 @@ fn recover_and_verify(
     // WAL replay (+ the resumed suffix) must be bit-identical to a
     // from-scratch recomputation over the recovered facts — under every
     // fault schedule of the matrix.
-    let v = w.manager().view();
-    for (i, c) in v.cubes().iter().enumerate() {
+    let set = w.view_set();
+    for (i, c) in set.views()[0].cubes().iter().enumerate() {
         assert_eq!(
             *c.stats(),
             SubcubeStats::compute(c.data(), c.epoch()),
@@ -263,8 +258,7 @@ fn paper_workload_is_clean() {
     let logged = ops.iter().filter(|o| o.is_logged()).count() as u64;
     let acked = run_workload(&spec, &dir, RealFs::shared(), &ops);
     assert_eq!(acked, logged);
-    let (w, _) = DurableWarehouse::recover_with_fs(spec.clone(), &dir, RealFs::shared()).unwrap();
-    assert_eq!(state(w.manager()), state(&reference(&spec, &ops)));
+    assert_eq!(state(&recover(&spec, &dir)), state(&reference(&spec, &ops)));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -278,20 +272,19 @@ fn recovered_stats_match_recomputation_and_are_persisted() {
     let logged = ops.iter().filter(|o| o.is_logged()).count() as u64;
     let acked = run_workload(&spec, &dir, RealFs::shared(), &ops);
     assert_eq!(acked, logged);
-    let manifest = specdr::subcube::persist::read_manifest(&dir).unwrap();
+    let manifest = read_manifest(dir.join("shard-000")).unwrap();
     assert!(
         !manifest.cube_stats.is_empty(),
         "format-2 manifest persists per-cube statistics"
     );
-    let (w, report) =
-        DurableWarehouse::recover_with_fs(spec.clone(), &dir, RealFs::shared()).unwrap();
+    let (w, report) = ShardRouter::recover(spec.clone(), &dir).unwrap();
     assert_eq!(
         report.stats_verified,
         manifest.cube_stats.len(),
         "recover verifies every persisted stats block"
     );
-    let v = w.manager().view();
-    for (i, c) in v.cubes().iter().enumerate() {
+    let set = w.view_set();
+    for (i, c) in set.views()[0].cubes().iter().enumerate() {
         assert_eq!(
             *c.stats(),
             SubcubeStats::compute(c.data(), c.epoch()),
@@ -379,8 +372,7 @@ fn aging_workload_is_clean() {
     let logged = ops.iter().filter(|o| o.is_logged()).count() as u64;
     let acked = run_workload(&spec, &dir, RealFs::shared(), &ops);
     assert_eq!(acked, logged);
-    let (w, _) = DurableWarehouse::recover_with_fs(spec.clone(), &dir, RealFs::shared()).unwrap();
-    assert_eq!(state(w.manager()), state(&reference(&spec, &ops)));
+    assert_eq!(state(&recover(&spec, &dir)), state(&reference(&spec, &ops)));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -411,13 +403,12 @@ fn aging_crash_matrix_over_every_fs_op() {
             let shim = FailpointFs::new(RealFs::shared(), 0xA9E5EED ^ k, k, mode);
             let acked = run_workload(&spec, &dir, shim.clone(), &ops);
             assert!(shim.crashed(), "{ctx}: fault never fired");
-            if dir.join("CURRENT").exists() {
-                let (w, _) =
-                    DurableWarehouse::recover_with_fs(spec.clone(), &dir, RealFs::shared())
-                        .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
-                let last = w.manager().last_sync();
+            if established(&dir) {
+                let (w, _) = ShardRouter::recover(spec.clone(), &dir)
+                    .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
+                let last = w.last_sync();
                 assert!(
-                    last.map_or(true, |d| legal.contains(&d)),
+                    last.is_none_or(|d| legal.contains(&d)),
                     "{ctx}: recovered mid-tick watermark {last:?} not in {legal:?}"
                 );
             }
@@ -437,25 +428,22 @@ fn crash_during_post_recovery_checkpoint() {
     let shim = FailpointFs::new(RealFs::shared(), 7, 12, FaultMode::ShortWrite);
     let acked = run_workload(&spec, &dir, shim, &ops);
     // Recover, then crash again during checkpoint().
-    let (mut w, report) =
-        DurableWarehouse::recover_with_fs(spec.clone(), &dir, RealFs::shared()).unwrap();
+    let (w, report) = ShardRouter::recover(spec.clone(), &dir).unwrap();
     assert!(report.ops_durable >= acked);
     for k in 0..6 {
-        let (w2, _) = DurableWarehouse::recover_with_fs(
+        let w2 = ShardRouter::recover_with_fs(
             spec.clone(),
             &dir,
             FailpointFs::new(RealFs::shared(), 11, k, FaultMode::FailWrite),
         )
+        .map(|(w2, _)| w2)
         .unwrap_or_else(|_| {
             // Recovery itself read-only fails only if the shim fired on
             // the repair write of a torn tail; the directory is intact.
-            DurableWarehouse::recover_with_fs(spec.clone(), &dir, RealFs::shared()).unwrap()
+            recover(&spec, &dir)
         });
-        let mut w2 = w2;
         let _ = w2.checkpoint(); // may fail; must never corrupt
-        let (w3, _) =
-            DurableWarehouse::recover_with_fs(spec.clone(), &dir, RealFs::shared()).unwrap();
-        assert_eq!(state(w3.manager()), state(w.manager()));
+        assert_eq!(state(&recover(&spec, &dir)), state(&w));
     }
     let _ = w.checkpoint();
     std::fs::remove_dir_all(&dir).ok();
@@ -463,8 +451,8 @@ fn crash_during_post_recovery_checkpoint() {
 
 /// The group-commit workload: the paper workload's logical ops packed
 /// into four batches, each journaled as ONE WAL record (one fsync).
-fn batched_workload() -> (DataReductionSpec, Vec<Vec<specdr::subcube::WarehouseOp>>) {
-    use specdr::subcube::WarehouseOp as W;
+fn batched_workload() -> (DataReductionSpec, Vec<Vec<WarehouseOp>>) {
+    use WarehouseOp as W;
     let (mo, _) = paper_mo();
     let schema = Arc::clone(mo.schema());
     let a1 = parse_action(&schema, ACTION_A1).unwrap();
@@ -488,15 +476,16 @@ fn batched_workload() -> (DataReductionSpec, Vec<Vec<specdr::subcube::WarehouseO
     (spec, batches)
 }
 
-/// Applies a prefix of batches to a plain manager — the reference state
-/// a crashed-and-recovered warehouse must land on exactly.
+/// Applies a prefix of batches op by op (one plain record each, not the
+/// group path) to an in-memory warehouse — the reference state a
+/// crashed-and-recovered warehouse must land on exactly.
 fn batch_reference(
     spec: &DataReductionSpec,
-    batches: &[Vec<specdr::subcube::WarehouseOp>],
+    batches: &[Vec<WarehouseOp>],
     n_batches: usize,
-) -> SubcubeManager {
-    use specdr::subcube::WarehouseOp as W;
-    let m = SubcubeManager::new(spec.clone());
+) -> ShardRouter {
+    use WarehouseOp as W;
+    let m = ShardRouter::in_memory(spec.clone());
     for b in &batches[..n_batches] {
         for op in b {
             match op {
@@ -510,9 +499,9 @@ fn batch_reference(
                     m.age(*t).unwrap();
                 }
                 W::SpecInsert(a) => {
-                    m.evolve_insert(a.clone()).unwrap();
+                    m.spec_insert(a.clone()).unwrap();
                 }
-                W::SpecDelete(ids, t) => m.evolve_delete(ids, *t).unwrap(),
+                W::SpecDelete(ids, t) => m.spec_delete(ids, *t).unwrap(),
             }
         }
     }
@@ -525,9 +514,9 @@ fn run_batches(
     spec: &DataReductionSpec,
     dir: &std::path::Path,
     fs: Arc<dyn Fs>,
-    batches: &[Vec<specdr::subcube::WarehouseOp>],
+    batches: &[Vec<WarehouseOp>],
 ) -> usize {
-    let Ok(mut w) = DurableWarehouse::create_with_fs(spec.clone(), dir, fs) else {
+    let Ok(w) = ShardRouter::create_with_fs(spec.clone(), dir, 1, fs) else {
         return 0;
     };
     let mut acked = 0;
@@ -549,15 +538,14 @@ fn batched_workload_is_clean() {
     let dir = tmpdir("batch-clean");
     let acked = run_batches(&spec, &dir, RealFs::shared(), &batches);
     assert_eq!(acked, batches.len());
-    let (w, report) =
-        DurableWarehouse::recover_with_fs(spec.clone(), &dir, RealFs::shared()).unwrap();
+    let (w, report) = ShardRouter::recover(spec.clone(), &dir).unwrap();
     assert_eq!(report.ops_durable, total_ops);
     assert_eq!(
         report.replayed as u64, total_ops,
         "replay counts per-op in batches"
     );
     assert_eq!(
-        state(w.manager()),
+        state(&w),
         state(&batch_reference(&spec, &batches, batches.len()))
     );
     std::fs::remove_dir_all(&dir).ok();
@@ -602,14 +590,13 @@ fn group_commit_crash_recovers_whole_batch_prefix() {
             let shim = FailpointFs::new(RealFs::shared(), 0xBA7C4 ^ k, k, mode);
             let acked = run_batches(&spec, &dir, shim.clone(), &batches);
             assert!(shim.crashed(), "{ctx}: fault never fired");
-            if !dir.join("CURRENT").exists() {
+            if !established(&dir) {
                 assert_eq!(acked, 0, "{ctx}: acked batches but no warehouse");
                 std::fs::remove_dir_all(&dir).ok();
                 continue;
             }
-            let (w, report) =
-                DurableWarehouse::recover_with_fs(spec.clone(), &dir, RealFs::shared())
-                    .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
+            let (w, report) = ShardRouter::recover(spec.clone(), &dir)
+                .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
             // No acknowledged op lost…
             let acked_ops: u64 = batches[..acked].iter().map(|b| b.len() as u64).sum();
             assert!(
@@ -631,7 +618,7 @@ fn group_commit_crash_recovers_whole_batch_prefix() {
                 "{ctx}: {n_batches} durable batches but only {acked} acknowledged"
             );
             assert_eq!(
-                state(w.manager()),
+                state(&w),
                 state(&batch_reference(&spec, &batches, n_batches)),
                 "{ctx}: recovered state is not the {n_batches}-batch reference"
             );
@@ -690,9 +677,8 @@ proptest! {
         let probe = clock + 60;
         let reference_m = reference(&spec, &ops);
         let ref_stats: SyncStats = reference_m.sync(probe).unwrap();
-        if dir.join("CURRENT").exists() {
-            let (mut w, _) =
-                DurableWarehouse::recover_with_fs(spec.clone(), &dir, RealFs::shared()).unwrap();
+        if established(&dir) {
+            let w = recover(&spec, &dir);
             // Skip the durable prefix, re-apply the rest, then probe.
             let durable = w.ops_durable();
             let mut skipped = 0;
@@ -702,12 +688,12 @@ proptest! {
                     continue;
                 }
                 if op.is_logged() {
-                    op.apply_durable(&mut w).unwrap();
+                    op.apply(&w).unwrap();
                 }
             }
             let got_stats = w.sync(probe).unwrap();
             prop_assert_eq!(got_stats, ref_stats);
-            let (f2, c2, l2) = state(w.manager());
+            let (f2, c2, l2) = state(&w);
             let (rf, rc, rl) = state(&reference_m);
             prop_assert_eq!(f2, rf);
             prop_assert_eq!(c2, rc);
@@ -809,12 +795,10 @@ fn seeded_aging_crash_schedule_is_deterministic() {
         let dir = tmpdir(&format!("age-seeded-{round}"));
         let shim = FailpointFs::new(RealFs::shared(), seed, fail_op, mode);
         let acked = run_workload(&spec, &dir, shim, &ops);
-        if dir.join("CURRENT").exists() {
-            let (w, _) =
-                DurableWarehouse::recover_with_fs(spec.clone(), &dir, RealFs::shared()).unwrap();
-            let last = w.manager().last_sync();
+        if established(&dir) {
+            let last = recover(&spec, &dir).last_sync();
             assert!(
-                last.map_or(true, |d| legal.contains(&d)),
+                last.is_none_or(|d| legal.contains(&d)),
                 "seed={seed}: recovered mid-tick watermark {last:?}"
             );
         }
@@ -852,41 +836,50 @@ fn format2_migration_crash_matrix() {
     let a1 = parse_action(&schema, ACTION_A1).unwrap();
     let a2 = parse_action(&schema, ACTION_A2).unwrap();
     let spec = DataReductionSpec::new(schema, vec![a1, a2]).unwrap();
-    let m = SubcubeManager::new(spec.clone());
-    m.bulk_load(&mo).unwrap();
-    m.sync(days_from_civil(2000, 11, 5)).unwrap();
-    let want = state(&m);
-    let fs: Arc<dyn Fs> = RealFs::shared();
+    let live_format = |dir: &Path| read_manifest(dir.join("shard-000")).unwrap().format;
+    // A fresh directory whose live checkpoint is format 2; returns the
+    // warehouse state it holds.
+    let legacy_dir = |dir: &Path| {
+        let m = ShardRouter::create(spec.clone(), dir, 1).unwrap();
+        m.bulk_load(&mo).unwrap();
+        m.sync(days_from_civil(2000, 11, 5)).unwrap();
+        m.checkpoint_legacy_format2().unwrap();
+        state(&m)
+    };
 
     // Clean round trip: fabricated legacy dir -> current loader ->
     // format-3 re-checkpoint -> identical state either side.
     let dir = tmpdir("fmt2-clean");
-    m.save_legacy_format2_fs(&fs, &dir).unwrap();
-    let legacy = specdr::subcube::read_manifest(&dir).unwrap();
+    let want = legacy_dir(&dir);
     assert_eq!(
-        legacy.format, 2,
+        live_format(&dir),
+        2,
         "fabricated dir must read back as format 2"
     );
-    let loaded = SubcubeManager::load_from_dir(spec.clone(), &dir).unwrap();
+    let loaded = recover(&spec, &dir);
     assert_eq!(
         state(&loaded),
         want,
         "legacy checkpoint loads bit-identically"
     );
-    loaded.save_to_dir_fs(&fs, &dir).unwrap();
-    assert_eq!(specdr::subcube::read_manifest(&dir).unwrap().format, 3);
-    let reloaded = SubcubeManager::load_from_dir(spec.clone(), &dir).unwrap();
-    assert_eq!(state(&reloaded), want, "migrated checkpoint round-trips");
+    loaded.checkpoint().unwrap();
+    assert_eq!(live_format(&dir), 3);
+    assert_eq!(
+        state(&recover(&spec, &dir)),
+        want,
+        "migrated checkpoint round-trips"
+    );
     std::fs::remove_dir_all(&dir).ok();
 
-    // Count the mutating fs ops of one clean migration rewrite.
+    // Count the mutating fs ops of one clean migration: recovery of the
+    // legacy directory plus the format-3 rewrite.
     let dir = tmpdir("fmt2-count");
-    m.save_legacy_format2_fs(&fs, &dir).unwrap();
+    legacy_dir(&dir);
     let counting = FailpointFs::counting(RealFs::shared());
-    let counting_dyn: Arc<dyn Fs> = counting.clone();
-    SubcubeManager::load_from_dir(spec.clone(), &dir)
+    ShardRouter::recover_with_fs(spec.clone(), &dir, counting.clone())
         .unwrap()
-        .save_to_dir_fs(&counting_dyn, &dir)
+        .0
+        .checkpoint()
         .unwrap();
     let total = counting.ops();
     std::fs::remove_dir_all(&dir).ok();
@@ -899,43 +892,37 @@ fn format2_migration_crash_matrix() {
         for k in 0..total {
             let ctx = format!("fmt2 mode={mode:?} fail_op={k}");
             let dir = tmpdir("fmt2-matrix");
-            m.save_legacy_format2_fs(&fs, &dir).unwrap();
-            let loaded = SubcubeManager::load_from_dir(spec.clone(), &dir).unwrap();
+            legacy_dir(&dir);
             let shim = FailpointFs::new(RealFs::shared(), 0xF0F2F3 ^ k, k, mode);
-            let shim_dyn: Arc<dyn Fs> = shim.clone();
-            let res = loaded.save_to_dir_fs(&shim_dyn, &dir);
+            let res = ShardRouter::recover_with_fs(spec.clone(), &dir, shim.clone())
+                .and_then(|(w, _)| w.checkpoint());
             assert!(shim.crashed(), "{ctx}: fault never fired");
 
             // Crash or not, the directory stays loadable with identical
             // state: either checkpoint generation may be live, but never
             // a torn mixture.
-            let recovered = SubcubeManager::load_from_dir(spec.clone(), &dir)
+            let (recovered, _) = ShardRouter::recover(spec.clone(), &dir)
                 .unwrap_or_else(|e| panic!("{ctx}: load after crash failed: {e}"));
             assert_eq!(state(&recovered), want, "{ctx}: state torn by crash");
-            let mf = specdr::subcube::read_manifest(&dir).unwrap();
+            let format = live_format(&dir);
             if res.is_ok() {
-                assert_eq!(mf.format, 3, "{ctx}: acked rewrite must be format 3");
+                assert_eq!(format, 3, "{ctx}: acked rewrite must be format 3");
             } else {
                 assert!(
-                    mf.format == 2 || mf.format == 3,
-                    "{ctx}: unknown live format {}",
-                    mf.format
+                    format == 2 || format == 3,
+                    "{ctx}: unknown live format {format}"
                 );
             }
 
             // A clean retry always completes the migration.
             recovered
-                .save_to_dir_fs(&fs, &dir)
+                .checkpoint()
                 .unwrap_or_else(|e| panic!("{ctx}: retry failed: {e}"));
-            assert_eq!(
-                specdr::subcube::read_manifest(&dir).unwrap().format,
-                3,
-                "{ctx}"
-            );
-            let done = SubcubeManager::load_from_dir(spec.clone(), &dir).unwrap();
+            assert_eq!(live_format(&dir), 3, "{ctx}");
+            let done = recover(&spec, &dir);
             assert_eq!(state(&done), want, "{ctx}: migrated state diverges");
-            let v = done.view();
-            for (i, c) in v.cubes().iter().enumerate() {
+            let set = done.view_set();
+            for (i, c) in set.views()[0].cubes().iter().enumerate() {
                 assert_eq!(
                     *c.stats(),
                     SubcubeStats::compute(c.data(), c.epoch()),

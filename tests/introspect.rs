@@ -14,21 +14,21 @@ use specdr::mdm::time_cat as tc;
 use specdr::query::{aggregate_ids_naive, select_snapshot, AggApproach, SelectMode};
 use specdr::reduce::DataReductionSpec;
 use specdr::spec::{parse_action, parse_pexp};
-use specdr::subcube::{CubeQuery, SubcubeManager};
+use specdr::subcube::{CubeQuery, ShardRouter};
 use specdr::workload::{paper_mo, ACTION_A1, ACTION_A2};
 
-fn manager_with_paper_data() -> SubcubeManager {
+fn manager_with_paper_data() -> ShardRouter {
     let (mo, _) = paper_mo();
     let schema = Arc::clone(mo.schema());
     let a1 = parse_action(&schema, ACTION_A1).unwrap();
     let a2 = parse_action(&schema, ACTION_A2).unwrap();
-    let m = SubcubeManager::new(DataReductionSpec::new(schema, vec![a1, a2]).unwrap());
+    let m = ShardRouter::in_memory(DataReductionSpec::new(schema, vec![a1, a2]).unwrap());
     m.bulk_load(&mo).unwrap();
     m
 }
 
 /// The Figure 8 query: α[month, domain_grp](σ[1999/6 < month ≤ 2000/5]).
-fn figure8_query(m: &SubcubeManager) -> CubeQuery {
+fn figure8_query(m: &ShardRouter) -> CubeQuery {
     let grp = m
         .schema()
         .dim(specdr::mdm::DimId(1))
@@ -60,9 +60,10 @@ fn explain_counts_match_naive_references() {
         "explain must not change the answer"
     );
     assert_eq!(report.result_rows, direct.len() as u64);
-    assert_eq!(report.epoch, m.epoch());
+    assert_eq!(report.epoch, m.view_set().epoch());
 
-    let view = m.view();
+    let set = m.view_set();
+    let view = &set.views()[0];
     assert_eq!(report.cubes.len(), view.cubes().len());
     for (i, cube) in view.cubes().iter().enumerate() {
         let rep = &report.cubes[i];
@@ -156,16 +157,17 @@ fn explain_counts_match_naive_references() {
     let m2 = manager_with_paper_data();
     let (stats, sync_report) = explain_sync(&m2, now).unwrap();
     assert!(stats.migrated > 0);
-    let v2 = m2.view();
+    let set2 = m2.view_set();
+    let v2 = &set2.views()[0];
     for (i, cube) in v2.cubes().iter().enumerate() {
         assert_eq!(sync_report.cubes[i].rows, cube.data().len() as u64);
         assert!(sync_report.cubes[i].scanned);
     }
     assert_eq!(sync_report.result_rows, v2.len() as u64);
     let paths: Vec<&str> = sync_report.phases.iter().map(|p| p.path.as_str()).collect();
-    assert!(paths.contains(&"subcube.sync"), "{paths:?}");
+    assert!(paths.contains(&"shard.sync/subcube.sync"), "{paths:?}");
     assert!(
-        paths.contains(&"subcube.sync/subcube.sync.scan"),
+        paths.contains(&"shard.sync/subcube.sync/subcube.sync.scan"),
         "{paths:?}"
     );
 
@@ -183,21 +185,22 @@ fn explain_counts_match_naive_references() {
     );
     assert_eq!(preport.result_rows, direct.len() as u64);
     let ppaths: Vec<&str> = preport.phases.iter().map(|p| p.path.as_str()).collect();
-    assert!(ppaths.contains(&"subcube.sync"), "{ppaths:?}");
+    assert!(ppaths.contains(&"shard.sync/subcube.sync"), "{ppaths:?}");
     assert!(
-        ppaths.contains(&"subcube.query/subcube.query.subquery"),
+        ppaths.contains(&"shard.query/subcube.query/subcube.query.subquery"),
         "{ppaths:?}"
     );
     // The subquery phase aggregates one span per cube with exact rows.
     let subq = preport
         .phases
         .iter()
-        .find(|p| p.path == "subcube.query/subcube.query.subquery")
+        .find(|p| p.path == "shard.query/subcube.query/subcube.query.subquery")
         .unwrap();
-    assert_eq!(subq.count, m3.n_cubes() as u64);
+    let set3 = m3.view_set();
+    assert_eq!(subq.count, set3.views()[0].cubes().len() as u64);
     assert_eq!(
         subq.rows_in,
-        m3.view()
+        set3.views()[0]
             .cubes()
             .iter()
             .map(|c| c.data().len() as u64)

@@ -13,7 +13,7 @@ use specdr::obs;
 use specdr::query::{AggApproach, SelectMode};
 use specdr::reduce::{reduce, DataReductionSpec};
 use specdr::spec::parse_action;
-use specdr::subcube::{CubeQuery, SubcubeManager};
+use specdr::subcube::{CubeQuery, ShardRouter};
 use specdr::workload::{generate, retention_policy, ClickstreamConfig};
 
 fn warehouse() -> (specdr::mdm::Mo, Arc<specdr::mdm::Schema>, DataReductionSpec) {
@@ -63,7 +63,7 @@ fn metrics_agree_with_authoritative_numbers() {
 
     // --- Phase 2: subcube sync. Counters must equal the returned stats.
     obs::reset();
-    let mgr = SubcubeManager::new(spec);
+    let mgr = ShardRouter::in_memory(spec);
     mgr.bulk_load(&mo).unwrap();
     let stats = mgr.sync(now).unwrap();
     let snap = obs::snapshot();
@@ -121,7 +121,7 @@ fn metrics_agree_with_authoritative_numbers() {
     let answer = mgr.query(&q, now, true).unwrap();
     assert!(!answer.is_empty());
     let snap = obs::snapshot();
-    let n_cubes = mgr.n_cubes() as u64;
+    let n_cubes = mgr.view_set().views()[0].cubes().len() as u64;
     assert_eq!(snap.counter("subcube.query.fanout"), Some(n_cubes));
     assert_eq!(snap.span("subcube.query.subquery").unwrap().count, n_cubes);
     assert_eq!(snap.span("subcube.query").unwrap().count, 1);

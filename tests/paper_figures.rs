@@ -16,7 +16,7 @@ use specdr::mdm::{DayNum, FactId, MeasureId, Mo};
 use specdr::query::{aggregate, project, AggApproach};
 use specdr::reduce::{DataReductionSpec, ReduceError};
 use specdr::spec::parse_action;
-use specdr::subcube::{DurableWarehouse, SubcubeManager};
+use specdr::subcube::ShardRouter;
 use specdr::workload::{paper_mo, snapshot_days, ACTION_A1, ACTION_A2};
 
 fn sorted_rows(mo: &Mo) -> Vec<String> {
@@ -43,7 +43,7 @@ fn recovered(mo: &Mo, spec: &DataReductionSpec, now: Option<DayNum>) -> Mo {
     let n = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
     let dir = std::env::temp_dir().join(format!("specdr-fig-{}-{n}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let mut w = DurableWarehouse::create(spec.clone(), &dir).unwrap();
+    let w = ShardRouter::create(spec.clone(), &dir, 1).unwrap();
     w.bulk_load(mo).unwrap();
     if let Some(t) = now {
         w.sync(t).unwrap();
@@ -51,15 +51,15 @@ fn recovered(mo: &Mo, spec: &DataReductionSpec, now: Option<DayNum>) -> Mo {
     let epoch = w.checkpoint().unwrap();
     drop(w);
     // The crash: a half-written record (claims 42 bytes, delivers 2).
-    let wal = dir.join(format!("wal-{epoch:06}.log"));
+    let wal = dir.join(format!("shard-000/wal-{epoch:06}.log"));
     let mut f = std::fs::OpenOptions::new().append(true).open(&wal).unwrap();
     f.write_all(&[42, 0, 0, 0, 0xDE, 0xAD]).unwrap();
     drop(f);
-    let (rec, report) = SubcubeManager::recover(spec.clone(), &dir).unwrap();
+    let (rec, report) = ShardRouter::recover(spec.clone(), &dir).unwrap();
     assert_eq!(report.epoch, epoch);
     assert_eq!(report.replayed, 0);
     assert_eq!(report.dropped_bytes, 6);
-    let out = rec.to_mo().unwrap();
+    let out = rec.view_set().to_mo().unwrap();
     std::fs::remove_dir_all(&dir).ok();
     out
 }

@@ -17,7 +17,7 @@ use specdr::mdm::{time_cat, DimValue, Mo, TimeValue};
 use specdr::query::{aggregate_ids_naive, select_snapshot, AggApproach, SelectMode};
 use specdr::reduce::DataReductionSpec;
 use specdr::spec::{parse_action, parse_pexp};
-use specdr::subcube::{CubeQuery, SubcubeManager};
+use specdr::subcube::{CubeQuery, ShardRouter};
 use specdr::workload::{paper_mo, paper_schema, ACTION_A1, ACTION_A2};
 
 /// Predicate pool spanning every atom family the planner reasons about:
@@ -131,7 +131,7 @@ proptest! {
     ) {
         let mo = mo_from_rows(&rows);
         let spec = paper_spec_for(&mo);
-        let m = SubcubeManager::new(spec);
+        let m = ShardRouter::in_memory(spec);
         m.bulk_load(&mo).unwrap();
         let t_sync = days_from_civil(2000, 1, 1) + sync_off;
         m.sync(t_sync).unwrap();
@@ -150,11 +150,11 @@ proptest! {
             approach: AggApproach::Availability,
         };
 
-        let view = m.view();
-        let oracle = m.region_oracle(&view);
+        let set = m.view_set();
+        let (view, oracle) = (&set.views()[0], set.oracle(0));
         prop_assert!(oracle.is_some(), "synced warehouse must yield an oracle");
 
-        let planned = view.query_planned(&q, now, parallel, oracle.as_ref()).unwrap();
+        let planned = view.query_planned(&q, now, parallel, oracle).unwrap();
         let naive = view.query_naive(&q, now, parallel).unwrap();
         prop_assert_eq!(
             sorted_rows(&planned),
@@ -164,8 +164,8 @@ proptest! {
             MODES[mode_ix]
         );
 
-        let plan = view.plan(&q, now, oracle.as_ref());
-        assert_skips_contribute_nothing(&view, &plan, &q, now);
+        let plan = view.plan(&q, now, oracle);
+        assert_skips_contribute_nothing(view, &plan, &q, now);
     }
 }
 
@@ -177,12 +177,12 @@ proptest! {
 fn planner_prunes_on_the_paper_fixture() {
     let (mo, _) = paper_mo();
     let spec = paper_spec_for(&mo);
-    let m = SubcubeManager::new(spec);
+    let m = ShardRouter::in_memory(spec);
     m.bulk_load(&mo).unwrap();
     let now = days_from_civil(2000, 11, 5);
     m.sync(now).unwrap();
-    let view = m.view();
-    let oracle = m.region_oracle(&view);
+    let set = m.view_set();
+    let (view, oracle) = (&set.views()[0], set.oracle(0));
     let (_, domain) = m.schema().resolve_cat("URL.domain").unwrap();
 
     // Impossible time window: everything is skipped, the answer is empty.
@@ -192,10 +192,10 @@ fn planner_prunes_on_the_paper_fixture() {
         levels: vec![time_cat::QUARTER, domain],
         approach: AggApproach::Availability,
     };
-    let plan = view.plan(&impossible, now, oracle.as_ref());
+    let plan = view.plan(&impossible, now, oracle);
     assert_eq!(plan.n_skipped(), view.cubes().len(), "{plan:?}");
     assert_eq!(
-        view.query_planned(&impossible, now, false, oracle.as_ref())
+        view.query_planned(&impossible, now, false, oracle)
             .unwrap()
             .len(),
         0
@@ -207,7 +207,7 @@ fn planner_prunes_on_the_paper_fixture() {
         pred: Some(parse_pexp(m.schema(), "Time.quarter >= 2000Q1").unwrap()),
         ..impossible.clone()
     };
-    let plan = view.plan(&selective, now, oracle.as_ref());
+    let plan = view.plan(&selective, now, oracle);
     assert!(plan.n_skipped() >= 1, "{plan:?}");
     assert!(!plan.order.is_empty(), "{plan:?}");
     for w in plan.order.windows(2) {
@@ -216,10 +216,8 @@ fn planner_prunes_on_the_paper_fixture() {
             "scan order must be cheapest-first: {plan:?}"
         );
     }
-    let planned = view
-        .query_planned(&selective, now, false, oracle.as_ref())
-        .unwrap();
+    let planned = view.query_planned(&selective, now, false, oracle).unwrap();
     let naive = view.query_naive(&selective, now, false).unwrap();
     assert_eq!(sorted_rows(&planned), sorted_rows(&naive));
-    assert_skips_contribute_nothing(&view, &plan, &selective, now);
+    assert_skips_contribute_nothing(view, &plan, &selective, now);
 }

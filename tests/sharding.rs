@@ -1,9 +1,11 @@
 //! Sharded-vs-unsharded differential suite (ISSUE 9, satellite 3).
 //!
-//! The [`ShardRouter`] must be *observationally identical* to a single
-//! [`SubcubeManager`]: same accept/reject decision for every churn op,
-//! same query-mix digests in both sync states at every evaluation day,
-//! and the same whole-batch / whole-tick semantics across crashes. The
+//! An N-shard [`ShardRouter`] must be *observationally identical* to a
+//! one-shard in-memory one: same accept/reject decision for every churn
+//! op, same query-mix digests in both sync states at every evaluation
+//! day, and the same whole-batch / whole-tick semantics across crashes.
+//! The one-shard reference is itself checked against the paper's
+//! logical oracle, `sdr_reduce::reduce`, after accepted syncs. The
 //! tests here drive random `sdr-workload` churn schedules through both
 //! and compare content digests, then repeat under injected failures:
 //! a torn record in a single shard's WAL, a seeded [`FailpointFs`]
@@ -17,12 +19,12 @@ use std::sync::Arc;
 
 use specdr::driver::result_digest;
 use specdr::mdm::calendar::days_from_civil;
-use specdr::reduce::DataReductionSpec;
+use specdr::reduce::{reduce, DataReductionSpec};
 use specdr::serve::mix_specs;
 use specdr::spec::parse_action;
 use specdr::storage::fs::{FailpointFs, FaultMode, RealFs};
 use specdr::storage::{scan_wal, Fs};
-use specdr::subcube::{ShardRouter, SubcubeError, SubcubeManager, WarehouseLayout};
+use specdr::subcube::{ShardRouter, SubcubeError, WarehouseLayout};
 use specdr::workload::{churn_script, paper_schema, ChurnOp, ACTION_A1, ACTION_A2};
 
 fn paper_spec() -> DataReductionSpec {
@@ -38,23 +40,8 @@ fn tdir(name: &str) -> PathBuf {
     d
 }
 
-/// Applies one churn op to the unsharded reference. `Ok(true)` =
-/// accepted (published), `Ok(false)` = legal rejection.
-fn apply_mgr(m: &SubcubeManager, op: &ChurnOp) -> Result<bool, SubcubeError> {
-    let r = match op {
-        ChurnOp::Load(mo) => m.bulk_load(mo).map(|_| ()),
-        ChurnOp::Sync(t) => m.sync(*t).map(|_| ()),
-        ChurnOp::SpecInsert(a) => m.evolve_insert(vec![a.clone()]).map(|_| ()),
-        ChurnOp::SpecDelete(id, t) => m.evolve_delete(&[*id], *t),
-    };
-    match r {
-        Ok(()) => Ok(true),
-        Err(SubcubeError::Reduce(_)) => Ok(false),
-        Err(e) => Err(e),
-    }
-}
-
-/// Applies one churn op through the shard router, same convention.
+/// Applies one churn op through a router. `Ok(true)` = accepted
+/// (published), `Ok(false)` = legal rejection.
 fn apply_router(r: &ShardRouter, op: &ChurnOp) -> Result<bool, SubcubeError> {
     let res = match op {
         ChurnOp::Load(mo) => r.bulk_load(mo).map(|_| ()),
@@ -135,8 +122,11 @@ fn router_digests(r: &ShardRouter) -> Vec<u64> {
     out
 }
 
-fn mgr_digests(m: &SubcubeManager) -> Vec<u64> {
-    let view = m.view();
+/// [`router_digests`] of a one-shard reference, evaluated sequentially
+/// on its single view (no scatter/gather).
+fn reference_digests(m: &ShardRouter) -> Vec<u64> {
+    let set = m.view_set();
+    let view = &set.views()[0];
     let schema = view.schema();
     let mut out = vec![canonical_digest(&view.to_mo().unwrap())];
     for &now in &query_days() {
@@ -157,9 +147,12 @@ fn mgr_digests(m: &SubcubeManager) -> Vec<u64> {
 }
 
 /// The core differential matrix: N ∈ {1, 2, 4, 7} shards × seeded
-/// random churn schedules. Accept/reject parity on every op; digest
-/// equality of the full observable surface at the end and at a
-/// mid-schedule checkpoint.
+/// random churn schedules against a one-shard in-memory reference.
+/// Accept/reject parity on every op; digest equality of the full
+/// observable surface at the end and at a mid-schedule checkpoint; and
+/// after every accepted sync (up to the first spec delete) the
+/// reference's content equals `sdr_reduce::reduce` of every fact loaded
+/// so far.
 #[test]
 fn sharded_matches_unsharded_over_random_churn() {
     for &shards in &[1usize, 2, 4, 7] {
@@ -168,29 +161,49 @@ fn sharded_matches_unsharded_over_random_churn() {
             let schema = Arc::clone(paper_spec().schema());
             let router = ShardRouter::create(paper_spec(), &dir, shards)
                 .unwrap_or_else(|e| panic!("create {shards}/{seed}: {e}"));
-            let mgr = SubcubeManager::new(paper_spec());
+            let mgr = ShardRouter::in_memory(paper_spec());
+            let mut loaded = specdr::mdm::Mo::new(Arc::clone(&schema));
+            let mut oracle_holds = true;
+            let mut oracle_checks = 0;
             let script = churn_script(&schema, seed, 16);
             for (i, op) in script.iter().enumerate() {
                 let a = apply_router(&router, op)
                     .unwrap_or_else(|e| panic!("shards={shards} seed={seed} op {i}: {e}"));
-                let b = apply_mgr(&mgr, op).unwrap();
+                let b = apply_router(&mgr, op).unwrap();
                 assert_eq!(
                     a, b,
                     "shards={shards} seed={seed}: accept/reject diverged at op {i}"
                 );
+                match op {
+                    ChurnOp::Load(mo) if b => loaded.absorb(mo).unwrap(),
+                    // Reduction is irreversible: facts an action already
+                    // aggregated stay aggregated after it is deleted, so
+                    // `reduce` over the raw facts stops being the oracle.
+                    ChurnOp::SpecDelete(..) if b => oracle_holds = false,
+                    ChurnOp::Sync(t) if b && oracle_holds => {
+                        assert_eq!(
+                            canonical_digest(&mgr.view_set().to_mo().unwrap()),
+                            canonical_digest(&reduce(&loaded, &mgr.spec(), *t).unwrap()),
+                            "seed={seed}: one-shard warehouse diverged from reduce at op {i}"
+                        );
+                        oracle_checks += 1;
+                    }
+                    _ => {}
+                }
                 if i == script.len() / 2 {
                     assert_eq!(
                         router_digests(&router),
-                        mgr_digests(&mgr),
+                        reference_digests(&mgr),
                         "shards={shards} seed={seed}: digests diverged mid-schedule"
                     );
                 }
             }
             assert_eq!(
                 router_digests(&router),
-                mgr_digests(&mgr),
+                reference_digests(&mgr),
                 "shards={shards} seed={seed}: digests diverged at end"
             );
+            assert!(oracle_checks > 0, "seed={seed}: reduce oracle never ran");
             std::fs::remove_dir_all(&dir).ok();
         }
     }
@@ -204,7 +217,7 @@ fn sharded_apply_batch_matches_unsharded() {
     let dir = tdir("batch");
     let schema = Arc::clone(paper_spec().schema());
     let router = ShardRouter::create(paper_spec(), &dir, 3).unwrap();
-    let mgr = SubcubeManager::new(paper_spec());
+    let mgr = ShardRouter::in_memory(paper_spec());
     let script = churn_script(&schema, 9, 8);
     let ops: Vec<WarehouseOp> = script
         .iter()
@@ -227,31 +240,31 @@ fn sharded_apply_batch_matches_unsharded() {
             _ => unreachable!(),
         }
     }
-    assert_eq!(router_digests(&router), mgr_digests(&mgr));
+    assert_eq!(router_digests(&router), reference_digests(&mgr));
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Replays the first `n_accepted` accepted ops of `script` into a fresh
-/// unsharded manager and returns its digests — the reference state for
-/// prefix-recovery checks.
+/// one-shard in-memory warehouse and returns its digests — the reference
+/// state for prefix-recovery checks.
 fn prefix_reference(
     schema: &Arc<specdr::mdm::Schema>,
     script: &[ChurnOp],
     n_accepted: usize,
 ) -> Vec<u64> {
-    let mgr = SubcubeManager::new(paper_spec());
+    let mgr = ShardRouter::in_memory(paper_spec());
     let _ = schema;
     let mut accepted = 0;
     for op in script {
         if accepted == n_accepted {
             break;
         }
-        if apply_mgr(&mgr, op).unwrap() {
+        if apply_router(&mgr, op).unwrap() {
             accepted += 1;
         }
     }
     assert_eq!(accepted, n_accepted, "schedule has too few accepted ops");
-    mgr_digests(&mgr)
+    reference_digests(&mgr)
 }
 
 /// A torn record in a *single* shard's WAL: recovery must align every
@@ -316,10 +329,10 @@ fn failpoint_crash_matrix_recovers_to_a_prefix() {
 
     // Reference digests for every accepted-prefix length.
     let total_accepted = {
-        let mgr = SubcubeManager::new(paper_spec());
+        let mgr = ShardRouter::in_memory(paper_spec());
         script
             .iter()
-            .filter(|op| apply_mgr(&mgr, op).unwrap())
+            .filter(|op| apply_router(&mgr, op).unwrap())
             .count()
     };
     let prefixes: Vec<Vec<u64>> = (0..=total_accepted)

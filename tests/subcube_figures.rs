@@ -16,10 +16,25 @@ use specdr::mdm::{time_cat, Mo};
 use specdr::query::{AggApproach, SelectMode};
 use specdr::reduce::{reduce, DataReductionSpec};
 use specdr::spec::{parse_action, parse_pexp};
-use specdr::subcube::{CubeId, CubeQuery, SubcubeManager};
+use specdr::subcube::{CubeId, CubeQuery, ShardRouter};
 use specdr::workload::{generate, retention_policy, ClickstreamConfig};
 
-fn build_manager(clicks_per_day: usize) -> (SubcubeManager, Mo) {
+/// A fresh one-shard warehouse in its own temporary directory.
+fn fresh_warehouse(spec: DataReductionSpec) -> ShardRouter {
+    let n = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("specdr-subfig-{}-{n}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    ShardRouter::create(spec, &dir, 1).unwrap()
+}
+
+/// Drops the warehouse and removes its directory.
+fn cleanup(m: ShardRouter) {
+    let dir = m.dir().to_path_buf();
+    drop(m);
+    std::fs::remove_dir_all(dir).ok();
+}
+
+fn build_manager(clicks_per_day: usize) -> (ShardRouter, Mo) {
     let cs = generate(&ClickstreamConfig {
         clicks_per_day,
         start: (1999, 1, 1),
@@ -31,7 +46,7 @@ fn build_manager(clicks_per_day: usize) -> (SubcubeManager, Mo) {
         .map(|s| parse_action(&cs.schema, s).unwrap())
         .collect();
     let spec = DataReductionSpec::new(Arc::clone(&cs.schema), actions).unwrap();
-    let m = SubcubeManager::new(spec);
+    let m = fresh_warehouse(spec);
     m.bulk_load(&cs.mo).unwrap();
     (m, cs.mo)
 }
@@ -44,23 +59,21 @@ fn sorted_rows(mo: &Mo) -> Vec<String> {
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
 
-/// Checkpoints `m` into a fresh directory, simulates a crash mid-append
-/// (a torn record on the write-ahead log), and recovers the warehouse
-/// from disk. The recovered manager must be behaviorally identical to
-/// the live one — the figure assertions run against it.
-fn crash_roundtrip(m: &SubcubeManager) -> SubcubeManager {
-    let n = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("specdr-subfig-{}-{n}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    m.save_to_dir(&dir).unwrap();
-    let wal = dir.join("wal-000000.log");
+/// Checkpoints `m`, simulates a crash mid-append (a torn record on the
+/// fresh write-ahead log), and recovers the warehouse from disk. The
+/// recovered warehouse must be behaviorally identical to the live one —
+/// the figure assertions (and any later operations) run against it.
+fn crash_roundtrip(m: ShardRouter) -> ShardRouter {
+    let epoch = m.checkpoint().unwrap();
+    let (dir, spec) = (m.dir().to_path_buf(), m.spec());
+    drop(m);
+    let wal = dir.join(format!("shard-000/wal-{epoch:06}.log"));
     let mut f = std::fs::OpenOptions::new().append(true).open(&wal).unwrap();
     f.write_all(&[42, 0, 0, 0, 0xDE, 0xAD]).unwrap();
     drop(f);
-    let (rec, report) = SubcubeManager::recover(m.spec().as_ref().clone(), &dir).unwrap();
+    let (rec, report) = ShardRouter::recover(spec.as_ref().clone(), &dir).unwrap();
     assert_eq!(report.replayed, 0);
     assert_eq!(report.dropped_bytes, 6);
-    std::fs::remove_dir_all(&dir).ok();
     rec
 }
 
@@ -69,14 +82,16 @@ fn crash_roundtrip(m: &SubcubeManager) -> SubcubeManager {
 #[test]
 fn figure6_cube_dag() {
     let (m, _) = build_manager(10);
-    let m = crash_roundtrip(&m);
-    let v = m.view();
+    let m = crash_roundtrip(m);
+    let set = m.view_set();
+    let v = &set.views()[0];
     assert_eq!(v.cubes().len(), 3);
     assert_eq!(v.cubes()[0].grain, m.schema().bottom_granularity());
     assert_eq!(v.parents(CubeId(1)), &[CubeId(0)]);
     assert_eq!(v.parents(CubeId(2)), &[CubeId(1)]);
     // All loaded data sits in the bottom cube before synchronization.
     assert_eq!(v.cubes()[0].data().len(), m.len());
+    cleanup(m);
 }
 
 /// Figure 7: synchronization migrates facts bottom → month → quarter as
@@ -84,11 +99,12 @@ fn figure6_cube_dag() {
 /// reduction of Definition 2.
 #[test]
 fn figure7_sync_flow_matches_reduce() {
-    let (m, mo) = build_manager(20);
+    let (mut m, mo) = build_manager(20);
     for (y, mm) in [(1999, 8), (2000, 6), (2002, 3), (2004, 6)] {
         let now = days_from_civil(y, mm, 15);
         m.sync(now).unwrap();
-        let physical = crash_roundtrip(&m).to_mo().unwrap();
+        m = crash_roundtrip(m);
+        let physical = m.view_set().to_mo().unwrap();
         let logical = reduce(&mo, &m.spec(), now).unwrap();
         assert_eq!(
             sorted_rows(&physical),
@@ -98,11 +114,13 @@ fn figure7_sync_flow_matches_reduce() {
     }
     // By 2004/6 everything old sits in the quarter cube; the bottom cube
     // holds only recent data (there is none, the stream stops in 2000).
-    let m = crash_roundtrip(&m);
-    let v = m.view();
+    let m = crash_roundtrip(m);
+    let set = m.view_set();
+    let v = &set.views()[0];
     assert_eq!(v.cubes()[0].data().len(), 0);
     assert_eq!(v.cubes()[1].data().len(), 0);
     assert!(!v.cubes()[2].data().is_empty());
+    cleanup(m);
 }
 
 /// Figure 8: parallel sub-query evaluation over synchronized cubes equals
@@ -112,7 +130,7 @@ fn figure8_query_equals_monolithic() {
     let (m, mo) = build_manager(20);
     let now = days_from_civil(2001, 6, 15);
     m.sync(now).unwrap();
-    let m = crash_roundtrip(&m);
+    let m = crash_roundtrip(m);
     let grp = m.schema().resolve_cat("URL.domain_grp").unwrap().1;
     let q = CubeQuery {
         pred: Some(parse_pexp(m.schema(), "URL.domain_grp = .com").unwrap()),
@@ -139,6 +157,7 @@ fn figure8_query_equals_monolithic() {
     // Sequential evaluation gives the identical answer.
     let seq = m.query(&q, now, false).unwrap();
     assert_eq!(sorted_rows(&via_cubes), sorted_rows(&seq));
+    cleanup(m);
 }
 
 /// Figure 9: querying the un-synchronized state — stale by several
@@ -147,7 +166,7 @@ fn figure8_query_equals_monolithic() {
 fn figure9_unsync_equals_sync() {
     let (m, _) = build_manager(20);
     m.sync(days_from_civil(2000, 1, 15)).unwrap();
-    let m = crash_roundtrip(&m);
+    let m = crash_roundtrip(m);
     // Warehouse is now ~18 months stale relative to the query time.
     let now = days_from_civil(2001, 8, 1);
     let domain = m.schema().resolve_cat("URL.domain").unwrap().1;
@@ -161,6 +180,7 @@ fn figure9_unsync_equals_sync() {
     m.sync(now).unwrap();
     let synced = m.query(&q, now, true).unwrap();
     assert_eq!(sorted_rows(&unsync), sorted_rows(&synced));
+    cleanup(m);
 }
 
 /// Bulk loads interleaved with syncs keep the warehouse equal to the
@@ -185,17 +205,21 @@ fn interleaved_loads_and_syncs() {
         .map(|s| parse_action(&cs1.schema, s).unwrap())
         .collect();
     let spec = DataReductionSpec::new(Arc::clone(&cs1.schema), actions).unwrap();
-    let m = SubcubeManager::new(spec);
+    let m = fresh_warehouse(spec);
     m.bulk_load(&cs1.mo).unwrap();
     m.sync(days_from_civil(2000, 1, 5)).unwrap();
     m.bulk_load(&cs2.mo).unwrap();
     let now = days_from_civil(2001, 3, 5);
     m.sync(now).unwrap();
-    let m = crash_roundtrip(&m);
+    let m = crash_roundtrip(m);
     let mut all = cs1.mo.clone();
     all.absorb(&cs2.mo).unwrap();
     let logical = reduce(&all, &m.spec(), now).unwrap();
-    assert_eq!(sorted_rows(&m.to_mo().unwrap()), sorted_rows(&logical));
+    assert_eq!(
+        sorted_rows(&m.view_set().to_mo().unwrap()),
+        sorted_rows(&logical)
+    );
+    cleanup(m);
 }
 
 /// Storage accounting: the reduced, encoded warehouse is much smaller
@@ -207,8 +231,8 @@ fn storage_shrinks_dramatically_with_age() {
         .unwrap()
         .stats();
     m.sync(days_from_civil(2004, 6, 15)).unwrap();
-    let m = crash_roundtrip(&m);
-    let reduced: usize = m
+    let m = crash_roundtrip(m);
+    let reduced: usize = m.view_set().views()[0]
         .storage_stats()
         .unwrap()
         .iter()
@@ -220,4 +244,5 @@ fn storage_shrinks_dramatically_with_age() {
         raw.raw_bytes,
         reduced
     );
+    cleanup(m);
 }

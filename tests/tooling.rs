@@ -8,7 +8,7 @@ use specdr::mdm::{render_table, MeasureId, TableOptions};
 use specdr::query::{AggApproach, Query, SelectMode};
 use specdr::reduce::{reduce, DataReductionSpec};
 use specdr::spec::{explain_action, explain_origin, parse_action, parse_pexp};
-use specdr::subcube::SubcubeManager;
+use specdr::subcube::ShardRouter;
 use specdr::workload::{
     generate, paper_mo, prover_heavy_policy, retention_policy, ClickstreamConfig, ACTION_A1,
     ACTION_A2,
@@ -25,32 +25,36 @@ fn paper_spec() -> (specdr::mdm::Mo, DataReductionSpec) {
 #[test]
 fn subcube_persistence_roundtrip() {
     let (mo, spec) = paper_spec();
-    let m = SubcubeManager::new(spec.clone());
+    let dir = std::env::temp_dir().join(format!("specdr-test-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let m = ShardRouter::create(spec.clone(), &dir, 1).unwrap();
     m.bulk_load(&mo).unwrap();
     m.sync(days_from_civil(2000, 11, 5)).unwrap();
-    let dir = std::env::temp_dir().join(format!("specdr-test-{}", std::process::id()));
-    m.save_to_dir(&dir).unwrap();
-    let loaded = SubcubeManager::load_from_dir(spec, &dir).unwrap();
+    m.checkpoint().unwrap();
+    let (loaded, _) = ShardRouter::recover(spec, &dir).unwrap();
     assert_eq!(loaded.len(), m.len());
-    let a = m.to_mo().unwrap();
-    let b = loaded.to_mo().unwrap();
+    let a = m.view_set().to_mo().unwrap();
+    let b = loaded.view_set().to_mo().unwrap();
     let mut ra: Vec<String> = a.facts().map(|f| a.render_fact(f)).collect();
     let mut rb: Vec<String> = b.facts().map(|f| b.render_fact(f)).collect();
     ra.sort();
     rb.sort();
     assert_eq!(ra, rb);
-    // Loading with a *different* spec (different layout) must fail.
-    let (schema2, _) = specdr::workload::paper_schema();
-    let only_a2 = parse_action(&schema2, ACTION_A2).unwrap();
-    let small_spec = DataReductionSpec::new(schema2, vec![only_a2]).unwrap();
-    assert!(SubcubeManager::load_from_dir(small_spec, &dir).is_err());
+    // The directory's own (manifest) spec is authoritative, but it must
+    // parse against the caller's schema: a foreign schema fails.
+    let retail = specdr::workload::generate_retail(&specdr::workload::RetailConfig {
+        sales_per_day: 0,
+        ..Default::default()
+    });
+    let foreign = DataReductionSpec::new(Arc::clone(&retail.schema), vec![]).unwrap();
+    assert!(ShardRouter::recover(foreign, &dir).is_err());
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn persistence_missing_dir_fails() {
     let (_, spec) = paper_spec();
-    assert!(SubcubeManager::load_from_dir(spec, "/nonexistent/specdr-dir").is_err());
+    assert!(ShardRouter::recover(spec, "/nonexistent/specdr-dir").is_err());
 }
 
 #[test]
@@ -181,22 +185,33 @@ fn retention_policy_end_to_end_totals() {
     }
 }
 
-// --- load_from_dir error paths: every failure names the file and cause ---
+// --- checkpoint loading error paths: every failure names the file and cause ---
 
-/// Saves a small warehouse under a unique temp dir and returns the spec
-/// that wrote it. With `sync: false` all facts stay at day level in the
-/// bottom cube.
-fn saved_dir(tag: &str, sync: bool) -> (DataReductionSpec, std::path::PathBuf) {
+/// Checkpoints a small one-shard warehouse under a unique temp dir and
+/// returns the spec that wrote it, the directory, and the live
+/// checkpoint directory. With `sync: false` all facts stay at day level
+/// in the bottom cube.
+fn saved_dir(tag: &str, sync: bool) -> (DataReductionSpec, std::path::PathBuf, std::path::PathBuf) {
     let (mo, spec) = paper_spec();
-    let m = SubcubeManager::new(spec.clone());
+    let dir = std::env::temp_dir().join(format!("specdr-errs-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let m = ShardRouter::create(spec.clone(), &dir, 1).unwrap();
     m.bulk_load(&mo).unwrap();
     if sync {
         m.sync(days_from_civil(2000, 11, 5)).unwrap();
     }
-    let dir = std::env::temp_dir().join(format!("specdr-errs-{tag}-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    m.save_to_dir(&dir).unwrap();
-    (spec, dir)
+    m.checkpoint().unwrap();
+    let ckpt = dir.join("shard-000").join("ckpt-000001");
+    (spec, dir, ckpt)
+}
+
+/// Recovers `dir`, expecting a storage error.
+fn load_err(spec: DataReductionSpec, dir: &std::path::Path) -> String {
+    storage_msg(
+        ShardRouter::recover(spec, dir)
+            .err()
+            .expect("load should fail"),
+    )
 }
 
 fn storage_msg(e: specdr::subcube::SubcubeError) -> String {
@@ -208,14 +223,10 @@ fn storage_msg(e: specdr::subcube::SubcubeError) -> String {
 
 #[test]
 fn load_from_dir_reports_missing_cube_file() {
-    let (spec, dir) = saved_dir("missing", true);
-    let victim = dir.join("ckpt-000000").join("cube-1.sdr");
+    let (spec, dir, ckpt) = saved_dir("missing", true);
+    let victim = ckpt.join("cube-1.sdr");
     std::fs::remove_file(&victim).unwrap();
-    let msg = storage_msg(
-        SubcubeManager::load_from_dir(spec, &dir)
-            .err()
-            .expect("load should fail"),
-    );
+    let msg = load_err(spec, &dir);
     assert!(msg.contains(&victim.display().to_string()), "{msg}");
     assert!(msg.contains("No such file or directory"), "{msg}");
     std::fs::remove_dir_all(&dir).ok();
@@ -223,18 +234,14 @@ fn load_from_dir_reports_missing_cube_file() {
 
 #[test]
 fn load_from_dir_reports_corrupt_cube_header() {
-    let (spec, dir) = saved_dir("corrupt", true);
-    let victim = dir.join("ckpt-000000").join("cube-0.sdr");
+    let (spec, dir, ckpt) = saved_dir("corrupt", true);
+    let victim = ckpt.join("cube-0.sdr");
     let mut bytes = std::fs::read(&victim).unwrap();
     for b in bytes.iter_mut().take(8) {
         *b ^= 0xFF;
     }
     std::fs::write(&victim, &bytes).unwrap();
-    let msg = storage_msg(
-        SubcubeManager::load_from_dir(spec, &dir)
-            .err()
-            .expect("load should fail"),
-    );
+    let msg = load_err(spec, &dir);
     assert!(msg.contains(&victim.display().to_string()), "{msg}");
     assert!(msg.contains("corrupt table: bad magic"), "{msg}");
     std::fs::remove_dir_all(&dir).ok();
@@ -245,14 +252,9 @@ fn load_from_dir_rejects_foreign_granularity_cube() {
     // Day-level facts smuggled into a non-bottom cube slot must be
     // rejected: the file parses, but its contents belong to a different
     // layout.
-    let (spec, dir) = saved_dir("foreign", false);
-    let ckpt = dir.join("ckpt-000000");
+    let (spec, dir, ckpt) = saved_dir("foreign", false);
     std::fs::copy(ckpt.join("cube-0.sdr"), ckpt.join("cube-1.sdr")).unwrap();
-    let msg = storage_msg(
-        SubcubeManager::load_from_dir(spec, &dir)
-            .err()
-            .expect("load should fail"),
-    );
+    let msg = load_err(spec, &dir);
     assert!(
         msg.contains(
             "fact at foreign granularity — was the directory written \
@@ -266,15 +268,20 @@ fn load_from_dir_rejects_foreign_granularity_cube() {
 
 #[test]
 fn load_from_dir_rejects_foreign_spec_with_hash_message() {
-    let (_, dir) = saved_dir("spechash", true);
+    // The manifest's spec text is authoritative on recovery and its hash
+    // cross-checks it: forge a manifest whose text is a foreign spec
+    // (only a2) under the original hash.
+    let (spec, dir, ckpt) = saved_dir("spechash", true);
     let (schema2, _) = specdr::workload::paper_schema();
     let only_a2 = parse_action(&schema2, ACTION_A2).unwrap();
     let small = DataReductionSpec::new(schema2, vec![only_a2]).unwrap();
-    let msg = storage_msg(
-        SubcubeManager::load_from_dir(small, &dir)
-            .err()
-            .expect("load should fail"),
-    );
+    let man_path = ckpt.join("MANIFEST");
+    let mut man =
+        specdr::subcube::Manifest::decode(&man_path, &std::fs::read(&man_path).unwrap()).unwrap();
+    man.spec_text = small.render();
+    man.next_action_id = small.next_action_id();
+    std::fs::write(&man_path, man.encode()).unwrap();
+    let msg = load_err(spec, &dir);
     assert!(
         msg.contains(
             "specification hash mismatch — was the directory written \
@@ -291,19 +298,15 @@ fn load_from_dir_rejects_foreign_spec_with_hash_message() {
 
 #[test]
 fn load_from_dir_rejects_extra_cubes_on_disk() {
-    let (spec, dir) = saved_dir("extra", true);
+    let (spec, dir, ckpt) = saved_dir("extra", true);
     // Forge a manifest announcing one more cube than the layout defines
     // (re-encoded, so the CRC is valid and the count check is what fires).
-    let man_path = dir.join("ckpt-000000").join("MANIFEST");
+    let man_path = ckpt.join("MANIFEST");
     let mut man =
         specdr::subcube::Manifest::decode(&man_path, &std::fs::read(&man_path).unwrap()).unwrap();
     man.cube_count += 1;
     std::fs::write(&man_path, man.encode()).unwrap();
-    let msg = storage_msg(
-        SubcubeManager::load_from_dir(spec, &dir)
-            .err()
-            .expect("load should fail"),
-    );
+    let msg = load_err(spec, &dir);
     assert!(
         msg.contains("more cubes on disk than the specification defines"),
         "{msg}"
@@ -504,10 +507,16 @@ fn stats_json_golden_schema_is_stable() {
         assert_eq!(names, sorted, "{kind} names not sorted:\n{stdout}");
     }
 
-    // 4. The golden name sets, including the PR 6 trace counters.
+    // 4. The golden name sets, including the PR 6 trace counters. The
+    // in-memory warehouse is a one-shard router over a MemFs, so the
+    // pipeline also journals: `durable.*`, `wal.*`, `storage.serialize*`
+    // and the router's `shard.*` spans.
     assert_eq!(
         names_of_kind("counter"),
         [
+            "durable.checkpoint.bytes",
+            "durable.checkpoint.count",
+            "durable.checkpoint.cubes",
             "obs.trace.spans_closed",
             "plan.cubes_scanned",
             "plan.cubes_skipped",
@@ -526,6 +535,7 @@ fn stats_json_golden_schema_is_stable() {
             "reduce.kernel.distinct_cells",
             "storage.encoded_bytes",
             "storage.rows_sealed",
+            "storage.serialized_bytes",
             "subcube.bulk_load.facts",
             "subcube.publish.count",
             "subcube.query.fanout",
@@ -534,24 +544,35 @@ fn stats_json_golden_schema_is_stable() {
             "subcube.sync.merged",
             "subcube.sync.migrated",
             "subcube.sync.migrated_from.K0",
+            "wal.bytes_appended",
+            "wal.records_appended",
         ],
         "counter name set drifted:\n{stdout}"
     );
     assert_eq!(names_of_kind("gauge"), ["subcube.epoch"], "{stdout}");
     assert_eq!(
         names_of_kind("histogram"),
-        ["reduce.group_members", "storage.segment_bytes"],
+        [
+            "reduce.group_members",
+            "storage.segment_bytes",
+            "wal.record_bytes"
+        ],
         "{stdout}"
     );
     assert_eq!(
         names_of_kind("span"),
         [
+            "durable.checkpoint",
             "plan.query",
             "query.aggregate",
             "query.select",
             "reduce.kernel.chunk",
             "reduce.reduce",
+            "shard.bulk_load",
+            "shard.query",
+            "shard.sync",
             "storage.encode",
+            "storage.serialize",
             "subcube.age.schedule",
             "subcube.bulk_load",
             "subcube.query",
@@ -559,6 +580,7 @@ fn stats_json_golden_schema_is_stable() {
             "subcube.sync",
             "subcube.sync.rebuild",
             "subcube.sync.scan",
+            "wal.append",
         ],
         "span name set drifted:\n{stdout}"
     );
@@ -590,8 +612,13 @@ fn cli_checkpoint_then_recover_roundtrips() {
     assert!(stdout.contains("checkpoint published"), "{stdout}");
     assert!(stdout.contains("epoch      = 1"), "{stdout}");
     assert!(stdout.contains("wal hwm    = 2 ops"), "{stdout}");
-    assert!(dir.join("CURRENT").exists());
-    assert!(dir.join("ckpt-000001").join("MANIFEST").exists());
+    assert!(dir.join("SHARDS").exists());
+    assert!(dir.join("shard-000").join("CURRENT").exists());
+    assert!(dir
+        .join("shard-000")
+        .join("ckpt-000001")
+        .join("MANIFEST")
+        .exists());
 
     let out = specdr_bin()
         .args(["recover", "--dir", dir_s])
@@ -622,7 +649,7 @@ fn cli_recover_fails_on_missing_directory() {
         .unwrap();
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("CURRENT"), "{err}");
+    assert!(err.contains("SHARDS"), "{err}");
 }
 
 #[test]
